@@ -1,8 +1,9 @@
 """Batch command-line front end; every subcommand emits one JSON document.
 
 Exit codes: 0 success, 1 domain error (with {"error": ...} on stdout),
-2 usage error.  Variables and certificate indices are 1-based in the
-surface format.
+2 usage error, 3 failed internal self-check (with {"error": ...,
+"internal": true} on stdout; this is a bug, not a bad input).  Variables
+and certificate indices are 1-based in the surface format.
 """
 
 from __future__ import annotations
@@ -104,6 +105,9 @@ def run(argv) -> int:
     except (ValueError, ParseError, ZeroDivisionError) as exc:
         print(json.dumps({"error": str(exc)}, separators=(",", ":")))
         return 1
+    except RuntimeError as exc:
+        print(json.dumps({"error": str(exc), "internal": True}, separators=(",", ":")))
+        return 3
 
 
 def _dispatch(args, seed) -> int:

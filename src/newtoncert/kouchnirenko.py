@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._linalg import matrix_rank, nullspace_vector
 from .gaussian import exact_fraction
-from .poly import SparsePolynomial, integer_determinant
+from .poly import SparsePolynomial, _require_singular, integer_determinant
 from .polytope import LatticePolytope, Point, newton_polyhedron, reduce_to_vertices
 
 INFINITE = float("inf")
@@ -226,17 +226,6 @@ def volumes(region: UnderDiagramRegion) -> VolumeVector:
     return VolumeVector(tuple(values))
 
 
-def _require_singular(f: SparsePolynomial):
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    for exp in f.support():
-        total = sum(exp)
-        if total == 0:
-            raise ValueError("nonzero constant term: input does not vanish at 0")
-        if total == 1:
-            raise ValueError("nonzero linear term: input has no singularity at 0")
-
-
 def milnor_number(f: SparsePolynomial):
     """Milnor number by the alternating volume formula; INFINITE when unbounded.
 
@@ -244,7 +233,9 @@ def milnor_number(f: SparsePolynomial):
     Exact for inputs satisfying the nondegeneracy condition, which is not
     verified here; integrality of the result is asserted.
     """
-    _require_singular(f)
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    _require_singular(f.support())
     N = newton_polyhedron(f)
     try:
         region = under_diagram_region(N)

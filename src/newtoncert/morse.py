@@ -2,8 +2,12 @@
 
 A support polytope (or Newton polyhedron) is generically Morse exactly
 when the barycenter of the quadratic simplex lies in it; the certificate
-is the matching or cover produced for its quadratic restriction.  Concrete
-functions are tested through the exact Hessian determinant at the origin.
+is the matching or cover produced for its quadratic restriction.  Every
+generator must have degree >= 2 (a singularity at 0).  Then a point of
+coordinate sum 2 in the support, the barycenter included, puts all its
+weight on the degree-2 generators, so the restriction and the verdict are
+read off those generators without an LP.  Concrete functions are tested
+through the exact Hessian determinant at the origin.
 """
 
 from __future__ import annotations
@@ -12,16 +16,14 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .poly import SparsePolynomial, determinant, hessian_at_zero, monomial
-from .polytope import (
-    ConvexCombination,
-    LatticePolytope,
-    barycenter,
-    contains_point,
-    in_two_delta,
-    lattice_points,
-    two_delta_points,
+from .poly import (
+    SparsePolynomial,
+    _require_singular,
+    determinant,
+    hessian_at_zero,
+    monomial,
 )
+from .polytope import LatticePolytope, lattice_points
 from .stencil import (
     Certificate,
     CoverCertificate,
@@ -47,41 +49,32 @@ class MorseVerdict:
 def quadratic_restriction(M: LatticePolytope) -> Optional[LatticePolytope]:
     """Hull of the pair points of M: its slice by the quadratic simplex.
 
-    Returns None when M contains no quadratic lattice point.
+    The slice is the hull of the lattice points of conv(degree-2
+    generators).  Raises ValueError when a generator has degree < 2;
+    returns None when M contains no quadratic lattice point.
     """
     if M.n < 1:
         raise ValueError("empty support")
-    if in_two_delta(M):
-        pts = lattice_points(M)
-    else:
-        pts = tuple(
-            p
-            for p in two_delta_points(M.n)
-            if isinstance(contains_point(M, p), ConvexCombination)
-        )
-    if not pts:
+    _require_singular(M.generators)
+    quadratic = [g for g in M.generators if sum(g) == 2]
+    if not quadratic:
         return None
-    return LatticePolytope(M.n, pts, False)
+    return LatticePolytope(M.n, lattice_points(LatticePolytope(M.n, quadratic)), False)
 
 
 def classify_support(M: LatticePolytope) -> MorseVerdict:
     """Generic Morse-ness of singularities with Newton polyhedron inside M.
 
-    Restricts M to the quadratic simplex, certifies, and cross-checks the
-    verdict against direct membership of the barycenter in M itself.
+    The barycenter lies in M exactly when it lies in the quadratic
+    restriction, so the verdict is certify's answer on the restriction; with
+    no quadratic point at all it is the empty cover.
     """
     restricted = quadratic_restriction(M)
-    center = barycenter(M.n)
-    direct = contains_point(M, center)
     if restricted is None:
-        if isinstance(direct, ConvexCombination):
-            raise RuntimeError("barycenter inside M but no quadratic points found")
         cert = CoverCertificate((), (), separating_halfspace((), (), M.n))
         return MorseVerdict(NEVER_MORSE, cert)
     cert = certify(restricted)
     generically_morse = isinstance(cert, MatchingCertificate)
-    if generically_morse != isinstance(direct, ConvexCombination):
-        raise RuntimeError("restricted certificate disagrees with direct membership")
     return MorseVerdict(GENERICALLY_MORSE if generically_morse else NEVER_MORSE, cert)
 
 

@@ -350,13 +350,13 @@ class QuadraticForm:
         return SparsePolynomial(self.n, terms)
 
 
-def _require_singular_input(f: SparsePolynomial):
-    for exp in f._terms:
-        total = sum(exp)
-        if total == 0:
-            raise ValueError("nonzero constant term: input does not vanish at 0")
-        if total == 1:
-            raise ValueError("nonzero linear term: input has no singularity at 0")
+def _require_singular(exponents: Iterable[Exponent]):
+    """Reject a constant or linear exponent: no singularity at the origin."""
+    degrees = {sum(exp) for exp in exponents}
+    if 0 in degrees:
+        raise ValueError("nonzero constant term: input does not vanish at 0")
+    if 1 in degrees:
+        raise ValueError("nonzero linear term: input has no singularity at 0")
 
 
 def quadratic_part(f: SparsePolynomial) -> QuadraticForm:
@@ -365,7 +365,7 @@ def quadratic_part(f: SparsePolynomial) -> QuadraticForm:
     Diagonal entries are the x_i^2 coefficients; off-diagonal entries are
     half the x_i*x_j coefficient, so that sum_ij B_ij x_i x_j reproduces f.
     """
-    _require_singular_input(f)
+    _require_singular(f._terms)
     n = f.n_vars
     rows = [[GR_ZERO] * n for _ in range(n)]
     for exp, c in f._terms.items():
@@ -384,20 +384,8 @@ def quadratic_part(f: SparsePolynomial) -> QuadraticForm:
 
 def hessian_at_zero(f: SparsePolynomial) -> QuadraticForm:
     """The Hessian matrix of f at the origin (equals 2 * quadratic_part)."""
-    _require_singular_input(f)
-    n = f.n_vars
-    rows = [[GR_ZERO] * n for _ in range(n)]
-    for exp, c in f._terms.items():
-        if sum(exp) != 2:
-            continue
-        idx = [i for i, e in enumerate(exp) if e]
-        if len(idx) == 1:
-            rows[idx[0]][idx[0]] = c + c
-        else:
-            i, j = idx
-            rows[i][j] = c
-            rows[j][i] = c
-    return QuadraticForm(n, tuple(tuple(r) for r in rows))
+    B = quadratic_part(f)
+    return QuadraticForm(B.n, tuple(tuple(v + v for v in row) for row in B.rows))
 
 
 def integer_determinant(rows: Iterable[Iterable[int]]) -> int:
@@ -406,6 +394,8 @@ def integer_determinant(rows: Iterable[Iterable[int]]) -> int:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
+    if n == 0:
+        return 1  # the empty product
     sign = 1
     prev = 1
     for k in range(n - 1):

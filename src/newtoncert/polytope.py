@@ -1,13 +1,16 @@
 """Exact lattice-polytope geometry in the nonnegative orthant.
 
 A LatticePolytope is a generator point set, optionally Minkowski-summed
-with the nonnegative orthant (orthant_recession).  Membership tests run an
-exact rational LP and always return a checkable witness: a convex
-combination on success, a separating linear functional on failure.
+with the nonnegative orthant (orthant_recession).  Membership of a general
+point runs an exact rational LP and always returns a checkable witness: a
+convex combination on success, a separating linear functional on failure.
 
 The quadratic simplex 2D = conv{2e_1, ..., 2e_n} lives in the hyperplane
 x_1 + ... + x_n = 2; its lattice points are exactly the pair points
-e_i + e_j (i = j allowed), and the barycenter is (2/n, ..., 2/n).
+e_i + e_j (i = j allowed), and the barycenter is (2/n, ..., 2/n).  So a
+pair point lies in the hull of a set of pair points exactly when it is one
+of them or the midpoint of two diagonal ones (in_pair_hull); lattice points
+inside 2D are read off by that closure rule, without an LP.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import lp
-from ._linalg import matrix_rank, solve_unique
+from ._linalg import matrix_rank
 from .gaussian import exact_fraction
 from .poly import SparsePolynomial
 
@@ -278,31 +281,32 @@ def _affinely_independent(points: Sequence[Point]) -> bool:
     return matrix_rank(rows) == len(points) - 1
 
 
+def in_pair_hull(p: Point, gens) -> bool:
+    """Whether pair point p lies in the hull of the pair points gens.
+
+    Within 2D only 2e_i, 2e_j and e_i + e_j have support inside {i, j}, so
+    p = e_i + e_j is in the hull iff it is a generator or both diagonal
+    points 2e_i and 2e_j are (p is their midpoint).  gens should be a set.
+    """
+    if p in gens:
+        return True
+    i, j = decode_pair(p)
+    n = len(p)
+    return i != j and pair_point(n, i, i) in gens and pair_point(n, j, j) in gens
+
+
 def lattice_points(M: LatticePolytope) -> Tuple[Point, ...]:
     """All lattice points of a polytope inside the quadratic simplex.
 
-    Candidates are the pair points e_i + e_j; membership uses the unique
-    affine solve when the generators are affinely independent and the
-    exact LP otherwise.
+    The pair points passing in_pair_hull, in the lexicographic order of
+    two_delta_points.
     """
     _require_in_two_delta(M)
-    gens = M.generators
-    fast = _affinely_independent(gens)
-    found = []
-    for cand in two_delta_points(M.n):
-        if cand in gens:
-            found.append(cand)
-            continue
-        if fast:
-            rows = [[g[c] for g in gens] for c in range(M.n)]
-            rows.append([1] * len(gens))
-            sol = solve_unique(rows, list(cand) + [1])
-            inside = sol is not None and all(w >= 0 for w in sol)
-        else:
-            inside = isinstance(contains_point(M, cand), ConvexCombination)
-        if inside:
-            found.append(cand)
-    return tuple(found)
+    gens = set(M.generators)
+    # a list first: tuple() of a generator builds a guessed-size tuple and
+    # resizes it, which piles tuples up in the interpreter's free lists, so
+    # peak memory would grow with the number of calls
+    return tuple([p for p in two_delta_points(M.n) if in_pair_hull(p, gens)])
 
 
 def is_minimal(M: LatticePolytope) -> bool:

@@ -27,6 +27,7 @@ from .polytope import (
     barycenter,
     contains_point,
     decode_pair,
+    in_pair_hull,
     is_special_vertex,
     lattice_points,
     minimal_subpolytope,
@@ -111,7 +112,7 @@ Certificate = Union[MatchingCertificate, CoverCertificate]
 
 
 def stencil_of(M: LatticePolytope) -> Stencil:
-    """bits[i][j] = 1 exactly when e_i + e_j lies in M (exact membership)."""
+    """bits[i][j] = 1 exactly when e_i + e_j lies in M (see lattice_points)."""
     _require_in_two_delta(M)
     present = set(lattice_points(M))
     bits = [[0] * M.n for _ in range(M.n)]
@@ -236,17 +237,20 @@ def separating_halfspace(I: Sequence[int], J: Sequence[int], n: int) -> HalfSpac
 def certify(M: LatticePolytope) -> Certificate:
     """Matching certificate iff the barycenter lies in M, else a cover.
 
-    The matching/membership dichotomy is cross-checked with the exact LP
-    on every call; a mismatch would falsify the underlying equivalence,
-    so it raises immediately.
+    Both answers are checked by substitution before they are returned.  A
+    matching's pair points must average to the barycenter
+    (witness_O_from_matching) and each must lie in M by one lookup
+    (in_pair_hull); a cover's half-space must exclude the barycenter and
+    contain every generator of M.
     """
     _require_in_two_delta(M)
     S = stencil_of(M)
     sigma = find_matching(S)
-    membership = contains_point(M, barycenter(M.n))
-    if (sigma is not None) != isinstance(membership, ConvexCombination):
-        raise RuntimeError("matching/membership dichotomy violated")
     if sigma is not None:
+        gens = set(M.generators)
+        for p in witness_O_from_matching(sigma, M.n).points:
+            if not in_pair_hull(p, gens):
+                raise RuntimeError(f"matching point {p} lies outside the polytope")
         return MatchingCertificate(sigma)
     I, J = min_vertex_cover(S)
     hs = separating_halfspace(I, J, M.n)

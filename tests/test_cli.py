@@ -138,6 +138,34 @@ def test_bad_variable_index_exit_1(capsys):
     assert "exceeds" in json.loads(out)["error"]
 
 
+LINEAR = "nonzero linear term: input has no singularity at 0"
+CONSTANT = "nonzero constant term: input does not vanish at 0"
+
+
+@pytest.mark.parametrize(
+    "n, poly, message",
+    [
+        ("3", "x1 + x1^2 + x2*x3^3 + x2^2*x3", LINEAR),
+        ("2", "x1 + x2^2", LINEAR),
+        ("2", "1 + x2^2", CONSTANT),
+    ],
+)
+def test_morse_without_singularity_exit_1(capsys, n, poly, message):
+    morse = _capture(capsys, ["morse", "--n", n, "--poly", poly])
+    milnor = _capture(capsys, ["milnor", "--n", n, "--poly", poly])
+    assert morse == milnor == (1, '{"error":"%s"}\n' % message)
+
+
+def test_internal_failure_exit_3(capsys, monkeypatch):
+    def broken(M):
+        raise RuntimeError("cover half-space misses a generator")
+
+    monkeypatch.setattr("newtoncert.cli.certify", broken)
+    code, out = _capture(capsys, ["certify", "--n", "2", "--points", "2,0"])
+    assert code == 3
+    assert out == '{"error":"cover half-space misses a generator","internal":true}\n'
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["not-a-command"])

@@ -123,6 +123,23 @@ def test_quadratic_restriction():
     ) is None
 
 
+def test_degree_below_two_rejected():
+    """A constant or linear generator means no singularity at 0: no verdict."""
+    for text, n, message in (
+        ("x1 + x1^2 + x2*x3^3 + x2^2*x3", 3, "nonzero linear term"),
+        ("x1 + x2^2", 2, "nonzero linear term"),
+        ("1 + x2^2", 2, "nonzero constant term"),
+    ):
+        M = newton_polyhedron(parse_polynomial(text, n))
+        with pytest.raises(ValueError, match=message):
+            classify_support(M)
+        with pytest.raises(ValueError, match=message):
+            quadratic_restriction(M)
+    plain = LatticePolytope(2, ((1, 0), (0, 2)))
+    with pytest.raises(ValueError, match="nonzero linear term"):
+        classify_support(plain)
+
+
 def test_genericity_gap_demo():
     M = newton_polyhedron(parse_polynomial("x1*x2 + x1^5 + x2^7", 2))
     report = genericity_gap_demo(M, [1, 2, 3])

@@ -231,6 +231,10 @@ def test_determinant_matches_expansion_oracle():
         assert determinant(form) == _det_expansion(form.rows)
 
 
+def test_integer_determinant_empty_matrix():
+    assert integer_determinant([]) == 1
+
+
 def test_integer_determinant_matches_general_path():
     rng = random.Random(11)
     for _ in range(50):

@@ -1,11 +1,13 @@
 """Newton polytopes/polyhedra, membership witnesses, FM cross-validation."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from fm_oracle import fm_contains
+from newtoncert.morse import quadratic_restriction
 from newtoncert.poly import monomial, parse_polynomial
 from newtoncert.polytope import (
     ConvexCombination,
@@ -211,19 +213,34 @@ def test_lattice_points_of_segment():
 
 
 def test_lattice_points_match_membership():
+    """The closure rule against per-pair-point LP membership: supports in
+    the quadratic simplex up to n = 6, then degree >= 2 supports with the
+    orthant recession, whose quadratic restriction the rule also reads."""
     rng = random.Random(55)
-    for _ in range(40):
-        n = rng.randint(2, 4)
+    for _ in range(80):
+        n = rng.randint(2, 6)
         pts = two_delta_points(n)
         subset = tuple(sorted(rng.sample(pts, rng.randint(1, len(pts)))))
         M = LatticePolytope(n, subset)
-        via_fast = set(lattice_points(M))
+        via_closure = set(lattice_points(M))
         via_lp = {
             p
             for p in pts
             if isinstance(contains_point(M, p), ConvexCombination)
         }
-        assert via_fast == via_lp
+        assert via_closure == via_lp
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        box = [p for p in itertools.product(range(4), repeat=n) if sum(p) >= 2]
+        M = LatticePolytope(n, tuple(rng.sample(box, rng.randint(1, 6))), True)
+        restricted = quadratic_restriction(M)
+        via_closure = set(restricted.generators) if restricted else set()
+        via_lp = {
+            p
+            for p in two_delta_points(n)
+            if isinstance(contains_point(M, p), ConvexCombination)
+        }
+        assert via_closure == via_lp, M
 
 
 def test_pair_point_roundtrip():

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from newtoncert import lp, polytope, stencil
 from newtoncert.gaussian import GaussianRational
+from newtoncert.morse import GENERICALLY_MORSE, NEVER_MORSE, classify_support
 from newtoncert.poly import determinant
-from newtoncert.polytope import LatticePolytope, barycenter
+from newtoncert.polytope import LatticePolytope, barycenter, two_delta_points
 from newtoncert.stencil import (
     CoverCertificate,
     MatchingCertificate,
@@ -340,3 +342,27 @@ def test_random_certify_larger_dimensions():
                 contains_point(M, barycenter(n)), ConvexCombination
             )
             assert (cert.kind == "matching") == member
+
+
+def test_certify_and_classify_solve_no_lp(monkeypatch):
+    """On supports of degree >= 2 the stencil, the certificate and the
+    Morse verdict come from the pair-point closure, never from an LP."""
+
+    def no_lp(*args):
+        raise AssertionError("membership LP called")
+
+    monkeypatch.setattr(polytope, "contains_point", no_lp)
+    monkeypatch.setattr(stencil, "contains_point", no_lp)
+    monkeypatch.setattr(lp, "solve_eq_nonneg", no_lp)
+    rng = random.Random(404)
+    box = [p for p in itertools.product(range(4), repeat=3) if 2 <= sum(p) <= 3]
+    kinds = set()
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        pts = two_delta_points(n)
+        M = LatticePolytope(n, tuple(rng.sample(pts, rng.randint(1, len(pts)))))
+        kinds.add(certify(M).kind)
+        stencil_of(M)
+        N = LatticePolytope(3, tuple(rng.sample(box, rng.randint(1, 8))), True)
+        kinds.add(classify_support(N).kind)
+    assert kinds == {"matching", "cover", GENERICALLY_MORSE, NEVER_MORSE}
