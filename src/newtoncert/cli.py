@@ -143,11 +143,11 @@ def _dispatch(args, seed) -> int:
         return _emit(minimal_subpolytope(M).to_json_dict())
 
     if args.command == "morse":
-        f = parse_polynomial(args.poly, args.n)
-        verdict = classify_support(newton_polyhedron(f))
+        N = newton_polyhedron(parse_polynomial(args.poly, args.n))
+        verdict = classify_support(N)
         doc = verdict.to_json_dict()
         if seed is not None and verdict.kind == "generically_morse":
-            restricted = quadratic_restriction(newton_polyhedron(f))
+            restricted = quadratic_restriction(N)
             doc["sample"] = _sample_evidence(restricted, seed)
         return _emit(doc)
 

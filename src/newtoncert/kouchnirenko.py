@@ -1,11 +1,19 @@
 """Milnor numbers from Newton-diagram volumes, and face restrictions.
 
 The region between the origin and the Newton diagram (the bounded closure
-of the orthant minus the Newton polyhedron) is star-shaped from the
-origin, so its volume is the sum, over the compact facets of the
-polyhedron, of the cones from the origin over a triangulation of each
-facet.  Facets are compact exactly when their inner normal is strictly
-positive.  All volumes are exact rationals; the Milnor number is the
+of the orthant minus the Newton polyhedron N) is star-shaped from the
+origin, so its volume is the sum of the cones from the origin over a
+triangulation of the compact facets of N.  Those come from one exact
+integer hull: generators dominating an axis intercept a_k e_k are dropped
+(they are never vertices), far points M e_k with M = n max(a_k) + 1 are
+added, and the hull is built by beneath-beyond insertion with inner
+normals from integer cofactors.  Its facets with strictly positive normal
+are exactly the compact facets of N, triangulated, and its boundary
+points other than the far points are exactly the vertices of N.
+
+For a convenient N each N cap R^I is a face of N, so the diagram of every
+coordinate subspace is triangulated by the faces of those simplices lying
+in R^I.  All volumes are exact rationals; the Milnor number is the
 alternating factorial-weighted sum over the coordinate-subspace volumes,
 which must come out a nonnegative integer.
 
@@ -16,16 +24,16 @@ face restrictions but does not check that condition.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ._linalg import matrix_rank, nullspace_vector
 from .gaussian import exact_fraction
 from .poly import SparsePolynomial, _require_singular, integer_determinant
-from .polytope import LatticePolytope, Point, newton_polyhedron, reduce_to_vertices
+from .polytope import LatticePolytope, Point
 
 INFINITE = float("inf")
 
@@ -67,127 +75,57 @@ def _axis_intercepts(gens: Sequence[Point], n: int) -> Optional[Tuple[int, ...]]
     return tuple(intercepts)
 
 
-def _compact_facets(verts: Sequence[Point], m: int) -> List[Tuple[Point, ...]]:
-    """Facets of conv(verts) + orthant with strictly positive inner normal.
-
-    Candidate hyperplanes run over m-subsets of the vertex generators; a
-    hyperplane is kept when its normal can be scaled positive and all
-    generators lie on its upper side.
-    """
-    facets: Dict[Tuple[Tuple[int, ...], int], Tuple[Point, ...]] = {}
-    for subset in itertools.combinations(sorted(verts), m):
-        if m == 1:
-            w: Tuple[int, ...] = (1,)
-        else:
-            base = subset[0]
-            rows = [[c - b for c, b in zip(p, base)] for p in subset[1:]]
-            w = nullspace_vector(rows, m)
-            if w is None:
-                continue
-            if all(v < 0 for v in w):
-                w = tuple(-v for v in w)
-            if any(v <= 0 for v in w):
-                continue
-        c = sum(a * b for a, b in zip(w, subset[0]))
-        if any(sum(a * b for a, b in zip(w, v)) < c for v in verts):
-            continue
-        on = tuple(v for v in sorted(verts) if sum(a * b for a, b in zip(w, v)) == c)
-        facets[(w, c)] = on
-    return list(facets.values())
+def _dot(w: Sequence[int], p: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(w, p))
 
 
-def _hull_facets(points: Sequence[Point], d: int):
-    """All facets of conv(points) in R^d as (normal, offset, on-points)."""
-    out = {}
-    for subset in itertools.combinations(range(len(points)), d):
-        pts = [points[k] for k in subset]
-        base = pts[0]
-        rows = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
-        w = nullspace_vector(rows, d) if d > 1 else (1,)
-        if w is None:
-            continue
-        c = sum(a * b for a, b in zip(w, base))
-        sides = [sum(a * b for a, b in zip(w, p)) - c for p in points]
-        if all(s >= 0 for s in sides):
-            pass
-        elif all(s <= 0 for s in sides):
-            w = tuple(-v for v in w)
-            c = -c
-        else:
-            continue
-        on = tuple(p for p in points if sum(a * b for a, b in zip(w, p)) == c)
-        out[(w, c)] = on
-    return list(out.items())
-
-
-def _triangulate_convex(points: Sequence[Point], d: int) -> List[Tuple[Point, ...]]:
-    """Fan triangulation of a full-dimensional convex hull in R^d.
-
-    Cones from the lexicographically smallest vertex over recursively
-    triangulated facets not containing it.  Returns [] when the points do
-    not span dimension d.
-    """
-    points = sorted(set(points))
-    if d == 0:
-        return [(points[0],)] if points else []
-    base = points[0]
-    if matrix_rank([[c - b for c, b in zip(p, base)] for p in points[1:]]) < d:
-        return []
-    apex = points[0]
-    simplices = []
-    for (w, c), on in _hull_facets(points, d):
-        if sum(a * b for a, b in zip(w, apex)) == c:
-            continue
-        for facet_simplex in _triangulate_facet(on, d):
-            simplices.append((apex,) + facet_simplex)
-    return simplices
-
-
-def _triangulate_facet(facet_points: Sequence[Point], d: int) -> List[Tuple[Point, ...]]:
-    """Triangulate a (d-1)-dimensional facet living in R^d.
-
-    Projects the facet one coordinate down (any coordinate with nonzero
-    normal component is injective on the facet's hyperplane) and lifts the
-    triangulation back.
-    """
-    if d == 1:
-        return [(facet_points[0],)]
-    base = facet_points[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in facet_points[1:]]
-    w = nullspace_vector(rows, d) if len(facet_points) > 1 else None
-    drop = next((k for k, v in enumerate(w) if v), 0) if w else 0
-    proj = {}
-    for p in facet_points:
-        proj.setdefault(tuple(v for k, v in enumerate(p) if k != drop), p)
-    tris = _triangulate_convex(sorted(proj), d - 1)
-    return [tuple(proj[q] for q in tri) for tri in tris]
-
-
-def _cone_volume(simplices: Sequence[Tuple[Point, ...]], m: int) -> Fraction:
-    """Total volume of cones from the origin over (m-1)-simplices."""
-    total = Fraction(0)
-    for simplex in simplices:
-        det = integer_determinant([list(p) for p in simplex])
-        total += Fraction(abs(det), factorial(m))
-    return total
-
-
-def _diagram_cone_simplices(gens: Sequence[Point], m: int) -> List[Tuple[Point, ...]]:
-    verts = reduce_to_vertices(gens, m, True)
-    simplices = []
-    for facet in _compact_facets(verts, m):
-        for tri in _triangulate_facet(facet, m):
-            origin = (tuple([0] * m),)
-            simplices.append(origin + tri)
-    return simplices
-
-
-def _under_diagram_volume(gens: Sequence[Point], m: int) -> Fraction:
-    if not gens:
-        raise UnboundedRegionError("no generators on the subspace")
-    return _cone_volume(
-        [s[1:] for s in _diagram_cone_simplices(gens, m)], m
+def _normal(face: Sequence[Point]) -> Tuple[int, ...]:
+    """Normal of the hyperplane through n points of R^n, by integer cofactors."""
+    base = face[0]
+    rows = [[c - b for c, b in zip(p, base)] for p in face[1:]]
+    return tuple(
+        (-1) ** k * integer_determinant([r[:k] + r[k + 1:] for r in rows])
+        for k in range(len(base))
     )
+
+
+def _hull(
+    points: Sequence[Point], n: int
+) -> Dict[Tuple[Point, ...], Tuple[Tuple[int, ...], int]]:
+    """Triangulated boundary of conv(points) in R^n, by beneath-beyond.
+
+    points[:n+1] must be affinely independent; the rest are inserted in
+    order.  A facet is visible from a new point beyond it or in its plane,
+    and a point beyond no facet is skipped, so the boundary's points are
+    exactly the vertices of the hull.  Maps each facet (a sorted n-tuple)
+    to its inner normal w and offset c: <w, x> >= c on the hull.
+    """
+    start = points[: n + 1]
+    inner = [sum(col) for col in zip(*start)]  # n + 1 times an interior point
+    facets = {}
+
+    def add(face):
+        w = _normal(face)
+        c = _dot(w, face[0])
+        side = _dot(w, inner) - (n + 1) * c
+        if side == 0:
+            raise RuntimeError(f"degenerate hull facet {face}")
+        facets[face] = (w, c) if side > 0 else (tuple(-v for v in w), -c)
+
+    for face in combinations(sorted(start), n):
+        add(face)
+    for p in points[n + 1:]:
+        dist = {face: _dot(w, p) - c for face, (w, c) in facets.items()}
+        if all(d >= 0 for d in dist.values()):
+            continue
+        visible = [face for face, d in dist.items() if d <= 0]
+        ridges = Counter(r for face in visible for r in combinations(face, n - 1))
+        for face in visible:
+            del facets[face]
+        for ridge, count in ridges.items():
+            if count == 1:  # shared with a facet that stays
+                add(tuple(sorted(ridge + (p,))))
+    return facets
 
 
 def under_diagram_region(N: LatticePolytope) -> UnderDiagramRegion:
@@ -198,32 +136,52 @@ def under_diagram_region(N: LatticePolytope) -> UnderDiagramRegion:
     """
     if not N.orthant_recession:
         raise ValueError("a Newton polyhedron (orthant recession) is required")
-    verts = reduce_to_vertices(N.generators, N.n, True)
-    intercepts = _axis_intercepts(verts, N.n)
+    n = N.n
+    intercepts = _axis_intercepts(N.generators, n)
     if intercepts is None:
         raise UnboundedRegionError(
             "complement is unbounded: some axis carries no pure power"
         )
-    simplices = _diagram_cone_simplices(verts, N.n)
-    return UnderDiagramRegion(N.n, tuple(verts), intercepts, tuple(simplices))
+    # g with some g_k >= a_k, other than a_k e_k itself, is in a_k e_k + orthant
+    axis_points = {
+        tuple(a if k == axis else 0 for k in range(n)) for axis, a in enumerate(intercepts)
+    }
+    gens = [
+        g for g in N.generators
+        if g in axis_points or all(c < a for c, a in zip(g, intercepts))
+    ]
+    big = n * max(intercepts) + 1
+    far = [tuple(big if k == axis else 0 for k in range(n)) for axis in range(n)]
+    # gens[0] is the intercept a_n e_n, off the far points' hyperplane
+    facets = _hull(far + gens, n)
+    verts = tuple(sorted({p for face in facets for p in face} - set(far)))
+    origin = (0,) * n
+    simplices = tuple(
+        (origin,) + face for face, (w, _) in facets.items() if all(v > 0 for v in w)
+    )
+    return UnderDiagramRegion(n, verts, intercepts, simplices)
 
 
 def volumes(region: UnderDiagramRegion) -> VolumeVector:
-    """Exact i-volumes of the region on all i-dimensional coordinate subspaces."""
+    """Exact i-volumes of the region on all i-dimensional coordinate subspaces.
+
+    A face of a diagram simplex with i vertices spanning exactly i axes I
+    is a simplex of the triangulated diagram of N cap R^I; the cone from the
+    origin over it has volume |det| / i!.
+    """
     n = region.n
-    values = [Fraction(0)] * n
-    values[n - 1] = _cone_volume([s[1:] for s in region.simplices], n)
-    for i in range(1, n):
-        total = Fraction(0)
-        for axes in itertools.combinations(range(n), i):
-            sub = [
-                tuple(g[a] for a in axes)
-                for g in region.vertex_generators
-                if all(c == 0 for k, c in enumerate(g) if k not in axes)
-            ]
-            total += _under_diagram_volume(sub, i)
-        values[i - 1] = total
-    return VolumeVector(tuple(values))
+    faces = set()
+    for simplex in region.simplices:
+        for i in range(1, n + 1):
+            for face in combinations(sorted(simplex[1:]), i):
+                axes = tuple(sorted({k for p in face for k, c in enumerate(p) if c}))
+                if len(axes) == i:
+                    faces.add((axes, face))
+    totals = [0] * n
+    for axes, face in faces:
+        det = integer_determinant([[p[k] for k in axes] for p in face])
+        totals[len(axes) - 1] += abs(det)
+    return VolumeVector(tuple(Fraction(t, factorial(i)) for i, t in enumerate(totals, 1)))
 
 
 def milnor_number(f: SparsePolynomial):
@@ -236,7 +194,7 @@ def milnor_number(f: SparsePolynomial):
     if f.is_zero():
         raise ValueError("zero polynomial")
     _require_singular(f.support())
-    N = newton_polyhedron(f)
+    N = LatticePolytope(f.n_vars, f.support(), orthant_recession=True)
     try:
         region = under_diagram_region(N)
     except UnboundedRegionError:

@@ -1,10 +1,15 @@
 """Under-diagram regions, exact volumes, Milnor numbers, face restrictions."""
 
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from newtoncert import lp, polytope
 from newtoncert.kouchnirenko import (
     INFINITE,
     UnboundedRegionError,
@@ -14,7 +19,14 @@ from newtoncert.kouchnirenko import (
     volumes,
 )
 from newtoncert.poly import SparsePolynomial, parse_polynomial
-from newtoncert.polytope import LatticePolytope, newton_polyhedron
+from newtoncert.polytope import LatticePolytope, newton_polyhedron, reduce_to_vertices
+
+# (n, poly, mu) on 40 seeded convenient diagrams, n = 2..5, up to 20
+# vertices, each with interior points, lattice points on segments between
+# generators and a generator dominating an axis intercept.  The values were
+# computed by the earlier implementation, which enumerated every n-subset
+# of the vertices as a candidate facet.
+MILNOR_TABLE = json.loads((Path(__file__).parent / "milnor_table.json").read_text())
 
 
 def _region_of(text, n):
@@ -119,8 +131,7 @@ def test_milnor_brieskorn_four_vars():
 
 def test_milnor_permutation_invariance():
     rng = random.Random(44)
-    for _ in range(15):
-        n = rng.randint(2, 3)
+    for n in [2, 3, 4, 5] * 6:
         terms = {}
         for axis in range(n):
             exp = [0] * n
@@ -138,6 +149,76 @@ def test_milnor_permutation_invariance():
             n, {tuple(e[perm[k]] for k in range(n)): c for e, c in terms.items()}
         )
         assert milnor_number(permuted) == mu
+
+
+def test_milnor_pinned_table():
+    assert len(MILNOR_TABLE) == 40
+    for row in MILNOR_TABLE:
+        f = parse_polynomial(row["poly"], row["n"])
+        assert milnor_number(f) == row["mu"], row
+
+
+def _weighted_facet(intercepts):
+    """Every monomial of the facet through the points a_i e_i: weights
+    w_i = d / a_i with d = lcm(a), all k >= 0 with <w, k> = d."""
+    d = math.lcm(*intercepts)
+    w = [d // a for a in intercepts]
+    exps = [
+        k for k in itertools.product(*(range(a + 1) for a in intercepts))
+        if sum(a * b for a, b in zip(w, k)) == d
+    ]
+    return d, w, SparsePolynomial(len(w), {k: 1 for k in exps})
+
+
+def test_milnor_orlik_weighted_facet():
+    # Milnor-Orlik: mu = prod(d / w_i - 1) for a weighted-homogeneous
+    # isolated singularity of weights w and degree d
+    cases = ((2, 3, 6), (3, 4, 6), (4, 4, 4), (3, 3, 4, 6), (2, 4, 4, 4),
+             (2, 3, 3, 4, 4), (3, 3, 3, 3, 3))
+    for intercepts in cases:
+        d, w, f = _weighted_facet(intercepts)
+        assert len(f.support()) > len(w)
+        expected = math.prod(Fraction(d, wi) - 1 for wi in w)
+        assert milnor_number(f) == expected, intercepts
+
+
+def _convenient_support(rng, n):
+    pts = set()
+    for k in range(n):
+        e = [0] * n
+        e[k] = rng.randint(2, 6)
+        pts.add(tuple(e))
+    for _ in range(rng.randint(0, 14)):
+        p = tuple(rng.randint(0, 5) for _ in range(n))
+        if sum(p) >= 2:
+            pts.add(p)
+    return tuple(pts)
+
+
+def test_region_vertices_match_lp_reduction():
+    rng = random.Random(808)
+    for n in [1, 2, 3, 4, 5] * 12:
+        N = LatticePolytope(n, _convenient_support(rng, n), orthant_recession=True)
+        region = under_diagram_region(N)
+        assert region.vertex_generators == reduce_to_vertices(N.generators, n, True)
+        for simplex in region.simplices:
+            assert simplex[0] == (0,) * n and len(simplex) == n + 1
+
+
+def test_milnor_solves_no_lp(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("membership LP called")
+
+    monkeypatch.setattr(polytope, "contains_point", no_lp)
+    monkeypatch.setattr(lp, "solve_eq_nonneg", no_lp)
+    rng = random.Random(809)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            f = SparsePolynomial(n, {p: 1 for p in _convenient_support(rng, n)})
+            assert milnor_number(f) >= 1
+    for row in MILNOR_TABLE[::5]:
+        assert milnor_number(parse_polynomial(row["poly"], row["n"])) == row["mu"]
+    assert milnor_number(parse_polynomial("x1^2 + x1*x2", 2)) == INFINITE
 
 
 def test_milnor_coefficients_do_not_matter():
