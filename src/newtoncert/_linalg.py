@@ -57,14 +57,6 @@ def solve_unique(rows, rhs):
     return x
 
 
-def solve_square(rows, rhs):
-    """Solve a nonsingular square system exactly."""
-    x = solve_unique(rows, rhs)
-    if x is None:
-        raise ValueError("singular square system")
-    return x
-
-
 def nullspace_vector(rows, ncols):
     """A primitive integer kernel vector when the kernel is 1-dimensional.
 

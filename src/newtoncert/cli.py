@@ -143,7 +143,11 @@ def _dispatch(args, seed) -> int:
         return _emit(minimal_subpolytope(M).to_json_dict())
 
     if args.command == "morse":
-        N = newton_polyhedron(parse_polynomial(args.poly, args.n))
+        # the verdict reads only the degree-2 generators: no vertex reduction
+        f = parse_polynomial(args.poly, args.n)
+        if f.is_zero():
+            raise ValueError("the zero polynomial has no Newton polyhedron")
+        N = LatticePolytope(f.n_vars, f.support(), orthant_recession=True)
         verdict = classify_support(N)
         doc = verdict.to_json_dict()
         if seed is not None and verdict.kind == "generically_morse":

@@ -7,8 +7,11 @@ whole run is exact; Fractions appear only when reading the answer out.
 
 On success returns a nonnegative rational solution x.  On infeasibility
 returns y with  y.A <= 0 componentwise and y.b > 0  (duality for the
-phase-1 optimum), recomputed from the final basis and verified by
-substitution before it is returned.
+phase-1 optimum), verified by substitution before it is returned.  y is
+read off the final objective row, which the pivots keep up to a positive
+scale: artificial column i holds the reduced cost 1 - u_i, where u are the
+multipliers of the final basis on the scaled system, so
+y_i = (1 - obj[n+i] / scale) * s_i with s_i the scale of row i.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import List, Sequence, Tuple, Union
-
-from ._linalg import solve_square
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,9 @@ def solve_eq_nonneg(rows: Sequence[Sequence], rhs: Sequence) -> LPResult:
     width = n + m + 1
     basis = [n + i for i in range(m)]
 
-    # phase-1 reduced costs: c_j - sum of basic rows in column j
-    obj = [0] * (n + m)
+    # phase-1 reduced costs: c_j - sum of basic rows in column j, times
+    # the positive scale kept in the last entry
+    obj = [0] * (n + m) + [1]
     for j in range(n):
         obj[j] = -sum(tableau[i][j] for i in range(m))
 
@@ -122,6 +124,7 @@ def solve_eq_nonneg(rows: Sequence[Sequence], rhs: Sequence) -> LPResult:
         f = obj[enter]
         for j in range(n + m):
             obj[j] = obj[j] * pv - f * piv_row[j]
+        obj[n + m] *= pv
         _normalize(obj)
         _normalize(piv_row)
         basis[leave] = enter
@@ -143,23 +146,8 @@ def solve_eq_nonneg(rows: Sequence[Sequence], rhs: Sequence) -> LPResult:
                 raise RuntimeError("simplex produced an invalid solution")
         return Feasible(tuple(x))
 
-    # Farkas vector from the final basis: solve y.B = c_B on the scaled
-    # system, then undo the row scaling.
-    bt = []
-    for i in range(m):
-        col = []
-        for k in range(m):
-            j = basis[k]
-            if j < n:
-                col.append(Fraction(rows[i][j]) * scales[i])
-            else:
-                col.append(Fraction(1 if j - n == i else 0))
-        bt.append(col)
-    # bt[i][k] = column of basis variable k in scaled row i; solve B^T y = c_B
-    c_b = [Fraction(1 if basis[k] >= n else 0) for k in range(m)]
-    bt_t = [[bt[i][k] for i in range(m)] for k in range(m)]
-    y_scaled = solve_square(bt_t, c_b)
-    y = tuple(y_scaled[i] * scales[i] for i in range(m))
+    scale = obj[n + m]
+    y = tuple(Fraction(scale - obj[n + i], scale) * scales[i] for i in range(m))
 
     for j in range(n):
         if sum(y[i] * rows[i][j] for i in range(m)) > 0:

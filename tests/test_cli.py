@@ -1,6 +1,7 @@
 """CLI surface: JSON shapes, exit codes, determinism, seeding."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,8 @@ def test_bad_variable_index_exit_1(capsys):
 
 LINEAR = "nonzero linear term: input has no singularity at 0"
 CONSTANT = "nonzero constant term: input does not vanish at 0"
+ZERO = "the zero polynomial has no Newton polyhedron"
+MILNOR_MESSAGE = {ZERO: "zero polynomial"}
 
 
 @pytest.mark.parametrize(
@@ -148,12 +151,29 @@ CONSTANT = "nonzero constant term: input does not vanish at 0"
         ("3", "x1 + x1^2 + x2*x3^3 + x2^2*x3", LINEAR),
         ("2", "x1 + x2^2", LINEAR),
         ("2", "1 + x2^2", CONSTANT),
+        ("2", "x1 - x1", ZERO),
     ],
 )
 def test_morse_without_singularity_exit_1(capsys, n, poly, message):
     morse = _capture(capsys, ["morse", "--n", n, "--poly", poly])
     milnor = _capture(capsys, ["milnor", "--n", n, "--poly", poly])
-    assert morse == milnor == (1, '{"error":"%s"}\n' % message)
+    assert morse == (1, '{"error":"%s"}\n' % message)
+    assert milnor == (1, '{"error":"%s"}\n' % MILNOR_MESSAGE.get(message, message))
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "5"]])
+def test_morse_runs_no_lp(capsys, monkeypatch, seed):
+    def no_lp(rows, rhs):
+        raise AssertionError("morse ran an LP")
+
+    monkeypatch.setattr("newtoncert.lp.solve_eq_nonneg", no_lp)
+    monkeypatch.delenv("NEWTON_CERTIFY_SEED", raising=False)
+    for poly, kind in (("x1^2 + x2^2 + x1^5*x2", "generically_morse"),
+                       ("x1^2 + x1*x2^3 + x2^7", "never_morse")):
+        code, out = _capture(capsys, [*seed, "morse", "--n", "2", "--poly", poly])
+        doc = json.loads(out)
+        assert code == 0 and doc["kind"] == kind
+        assert ("sample" in doc) == bool(seed and kind == "generically_morse")
 
 
 def test_internal_failure_exit_3(capsys, monkeypatch):
@@ -199,3 +219,20 @@ def test_without_seed_no_sample(capsys, monkeypatch):
     monkeypatch.delenv("NEWTON_CERTIFY_SEED", raising=False)
     code, out = _capture(capsys, ["morse", "--n", "2", "--poly", "x1^2 + x2^2"])
     assert "sample" not in json.loads(out)
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "cli_pool.json"
+
+
+def test_golden_cli_pool(capsys, monkeypatch):
+    """Every request of the golden CLI corpus: same exit code, same stdout bytes."""
+    monkeypatch.delenv("NEWTON_CERTIFY_SEED", raising=False)
+    with open(GOLDEN) as fh:
+        requests = json.load(fh)["requests"]
+    assert len(requests) == 92
+    for entry in requests:
+        try:
+            code = run(entry["argv"])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (entry["code"], entry["stdout"]), entry["argv"]

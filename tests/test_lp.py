@@ -1,7 +1,9 @@
 """Exact simplex feasibility: solutions, Farkas certificates, determinism."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from newtoncert.lp import Feasible, FarkasInfeasible, solve_eq_nonneg
 
@@ -75,3 +77,54 @@ def test_random_systems_self_verify():
         else:
             infeas += 1
     assert feas and infeas
+
+
+def test_pinned_answers():
+    """Exact x or Farkas y on 300 seeded systems, m = 1..6, n = 0..9.
+
+    Pins the answers themselves, not only their signs: `contains-o`
+    prints y.  The table in lp_table.json was written by:
+
+        rng = random.Random(4104)
+        def entry():
+            v = rng.randint(-4, 4)
+            return Fraction(v, rng.randint(2, 3)) if rng.random() < 0.25 else v
+        for _ in range(300):
+            m, n = rng.randint(1, 6), rng.randint(0, 9)
+            rows = [[entry() for _ in range(n)] for _ in range(m)]
+            if rng.random() < 0.35:  # b = A x0 with x0 >= 0: feasible
+                x0 = [rng.choice((0, 1, 2, Fraction(1, 2))) for _ in range(n)]
+                rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+            else:
+                rhs = [entry() for _ in range(m)]
+            if m > 1 and rng.random() < 0.2:  # a zero row
+                rows[-1], rhs[-1] = [0] * n, rng.choice((0, 0, 1))
+            if m > 1 and rng.random() < 0.2:  # a redundant row
+                k = rng.choice((-2, 1, Fraction(1, 2)))
+                rows[1], rhs[1] = [k * v for v in rows[0]], k * rhs[0]
+            res = solve_eq_nonneg(rows, rhs)
+            # record rows, rhs and res.x or res.y, every number as str
+    """
+    with open(Path(__file__).with_name("lp_table.json")) as fh:
+        table = json.load(fh)
+    feas = infeas = 0
+    for case in table:
+        rows = [[Fraction(v) for v in row] for row in case["rows"]]
+        rhs = [Fraction(b) for b in case["rhs"]]
+        res = solve_eq_nonneg(rows, rhs)
+        if "x" in case:
+            feas += 1
+            assert isinstance(res, Feasible)
+            assert [str(v) for v in res.x] == case["x"]
+            assert all(v >= 0 for v in res.x)
+            for row, b in zip(rows, rhs):
+                assert sum(a * v for a, v in zip(row, res.x)) == b
+        else:
+            infeas += 1
+            assert isinstance(res, FarkasInfeasible)
+            y = res.y
+            assert [str(v) for v in y] == case["y"]
+            for j in range(len(rows[0])):
+                assert sum(y[i] * row[j] for i, row in enumerate(rows)) <= 0
+            assert sum(yi * b for yi, b in zip(y, rhs)) > 0
+    assert (feas, infeas) == (185, 115)
