@@ -9,8 +9,11 @@ The quadratic simplex 2D = conv{2e_1, ..., 2e_n} lives in the hyperplane
 x_1 + ... + x_n = 2; its lattice points are exactly the pair points
 e_i + e_j (i = j allowed), and the barycenter is (2/n, ..., 2/n).  So a
 pair point lies in the hull of a set of pair points exactly when it is one
-of them or the midpoint of two diagonal ones (in_pair_hull); lattice points
-inside 2D are read off by that closure rule, without an LP.
+of them or the midpoint of two diagonal ones.  Lattice points inside 2D
+are read in index space: _pair_closure reads each generator once as its
+pair (i, j) and closes over the diagonal ones, giving the stencil rows and
+the lattice points without an LP; in_pair_hull is the same rule for one
+point, kept as an independent check.
 """
 
 from __future__ import annotations
@@ -295,18 +298,53 @@ def in_pair_hull(p: Point, gens) -> bool:
     return i != j and pair_point(n, i, i) in gens and pair_point(n, j, j) in gens
 
 
+def _pair_closure(M: LatticePolytope) -> List[List[int]]:
+    """n x n 0/1 rows with [a][b] = 1 exactly when e_a + e_b lies in M.
+
+    M must lie in 2D (checked by the caller).  Each generator is read once
+    as its pair (i, j): a 2 at i = j, or 1s at its first and last nonzero
+    coordinate.  Every two diagonal generators 2e_a, 2e_b add their
+    midpoint; nothing else is in the hull (the rule of in_pair_hull).
+    """
+    n = M.n
+    rows = [[0] * n for _ in range(n)]
+    diagonal = []
+    for g in M.generators:
+        if 2 in g:
+            i = j = g.index(2)
+            diagonal.append(i)
+        else:
+            i = g.index(1)
+            j = g.index(1, i + 1)
+        rows[i][j] = rows[j][i] = 1
+    for a in diagonal:
+        row = rows[a]
+        for b in diagonal:
+            row[b] = 1
+    return rows
+
+
 def lattice_points(M: LatticePolytope) -> Tuple[Point, ...]:
     """All lattice points of a polytope inside the quadratic simplex.
 
-    The pair points passing in_pair_hull, in the lexicographic order of
-    two_delta_points.
+    The pair points e_i + e_j marked by the pair closure, in the
+    lexicographic order of two_delta_points: i decreasing, then j
+    decreasing (j >= i).
     """
     _require_in_two_delta(M)
-    gens = set(M.generators)
+    n = M.n
+    rows = _pair_closure(M)
     # a list first: tuple() of a generator builds a guessed-size tuple and
     # resizes it, which piles tuples up in the interpreter's free lists, so
     # peak memory would grow with the number of calls
-    return tuple([p for p in two_delta_points(M.n) if in_pair_hull(p, gens)])
+    return tuple(
+        [
+            pair_point(n, i, j)
+            for i in range(n - 1, -1, -1)
+            for j in range(n - 1, i - 1, -1)
+            if rows[i][j]
+        ]
+    )
 
 
 def is_minimal(M: LatticePolytope) -> bool:

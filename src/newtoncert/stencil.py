@@ -6,7 +6,10 @@ zero pattern forced on quadratic forms supported in M.  A permutation
 hitting only 1-entries certifies that the determinant is not identically
 zero on that space; a row/column cover of size < n yields a half-space
 separating the barycenter and certifies that every such form is
-degenerate.
+degenerate.  certify works on pair indices throughout: the stencil is the
+pair closure of the generators, one maximum matching gives either the
+permutation or (Koenig's theorem) the cover, and both are checked by
+integer substitution.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .polytope import (
     ConvexCombination,
     LatticePolytope,
     Separation,
+    _pair_closure,
     _require_in_two_delta,
     barycenter,
     contains_point,
@@ -112,15 +116,10 @@ Certificate = Union[MatchingCertificate, CoverCertificate]
 
 
 def stencil_of(M: LatticePolytope) -> Stencil:
-    """bits[i][j] = 1 exactly when e_i + e_j lies in M (see lattice_points)."""
+    """bits[i][j] = 1 exactly when e_i + e_j lies in M: the pair closure of
+    the generators (a generator, or the midpoint of two diagonal ones)."""
     _require_in_two_delta(M)
-    present = set(lattice_points(M))
-    bits = [[0] * M.n for _ in range(M.n)]
-    for i in range(M.n):
-        for j in range(i, M.n):
-            if pair_point(M.n, i, j) in present:
-                bits[i][j] = bits[j][i] = 1
-    return Stencil(M.n, tuple(tuple(r) for r in bits))
+    return Stencil(M.n, _pair_closure(M))
 
 
 def _max_matching(S: Stencil):
@@ -179,6 +178,15 @@ def min_vertex_cover(S: Stencil) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     match_row, match_col, size = _max_matching(S)
     if size == S.n:
         raise ValueError("stencil has a perfect matching; no deficient cover exists")
+    return _cover_from_matching(S, match_row, match_col, size)
+
+
+def _cover_from_matching(S: Stencil, match_row, match_col, size):
+    """Koenig's cover from a maximum matching of size < n.
+
+    Rows reachable by alternating paths from the unmatched rows are left
+    out of I, their columns form J; |I| + |J| equals the matching size.
+    """
     n = S.n
     reach_row = [False] * n
     reach_col = [False] * n
@@ -196,8 +204,8 @@ def min_vertex_cover(S: Stencil) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
                 if r2 >= 0 and not reach_row[r2]:
                     reach_row[r2] = True
                     queue.append(r2)
-    I = tuple(r for r in range(n) if not reach_row[r])
-    J = tuple(c for c in range(n) if reach_col[c])
+    I = tuple([r for r in range(n) if not reach_row[r]])
+    J = tuple([c for c in range(n) if reach_col[c]])
     _check_cover(S, I, J)
     if len(I) + len(J) != size:
         raise RuntimeError("cover size does not match the matching size")
@@ -216,44 +224,55 @@ def separating_halfspace(I: Sequence[int], J: Sequence[int], n: int) -> HalfSpac
     """The half-space sum_{I} x_l + sum_{J} x_l >= 2 induced by a cover.
 
     Contains every pair point both of whose index slots are covered and
-    excludes the barycenter; both facts are re-verified by substitution.
+    excludes the barycenter; both facts are re-verified by integer
+    substitution: <coeffs, O> = 2 * sum(coeffs) / n is below 2 iff
+    sum(coeffs) < n, and e_i + e_j is inside iff coeffs[i] + coeffs[j] >= 2.
     """
     iset, jset = set(I), set(J)
     if len(iset) + len(jset) >= n:
         raise ValueError("cover too large: half-space would not exclude the barycenter")
-    coeffs = tuple((1 if l in iset else 0) + (1 if l in jset else 0) for l in range(n))
-    hs = HalfSpace(coeffs, 2)
-    center = barycenter(n)
-    if sum(c * x for c, x in zip(coeffs, center)) >= 2:
+    coeffs = tuple([(1 if l in iset else 0) + (1 if l in jset else 0) for l in range(n)])
+    if sum(coeffs) >= n:
         raise RuntimeError("half-space fails to exclude the barycenter")
     for i in range(n):
         for j in range(i, n):
             covered = (i in iset or j in jset) and (j in iset or i in jset)
-            if covered and not hs.contains(pair_point(n, i, j)):
+            if covered and coeffs[i] + coeffs[j] < 2:
                 raise RuntimeError(f"half-space misses covered pair point ({i}, {j})")
-    return hs
+    return HalfSpace(coeffs, 2)
 
 
 def certify(M: LatticePolytope) -> Certificate:
     """Matching certificate iff the barycenter lies in M, else a cover.
 
-    Both answers are checked by substitution before they are returned.  A
-    matching's pair points must average to the barycenter
-    (witness_O_from_matching) and each must lie in M by one lookup
-    (in_pair_hull); a cover's half-space must exclude the barycenter and
-    contain every generator of M.
+    One maximum matching on the stencil decides: perfect, it is the
+    permutation; deficient, Koenig's cover is read from it.  Both answers
+    are checked by integer substitution before they are returned.  A
+    matching must use every index exactly twice in its pairs
+    (i, sigma(i)), which is n * O = sum_i (e_i + e_sigma(i)), and each pair
+    point must lie in M by one lookup (in_pair_hull); a cover's half-space
+    must exclude the barycenter and contain every generator of M.
     """
-    _require_in_two_delta(M)
     S = stencil_of(M)
-    sigma = find_matching(S)
-    if sigma is not None:
+    n = M.n
+    match_row, match_col, size = _max_matching(S)
+    if size == n:
+        sigma = tuple(match_row)
+        _check_matching(S, sigma)
+        uses = [0] * n
+        for i, j in enumerate(sigma):
+            uses[i] += 1
+            uses[j] += 1
+        if uses != [2] * n:
+            raise RuntimeError("matching witness does not average to the barycenter")
         gens = set(M.generators)
-        for p in witness_O_from_matching(sigma, M.n).points:
+        for i, j in enumerate(sigma):
+            p = pair_point(n, i, j)
             if not in_pair_hull(p, gens):
                 raise RuntimeError(f"matching point {p} lies outside the polytope")
         return MatchingCertificate(sigma)
-    I, J = min_vertex_cover(S)
-    hs = separating_halfspace(I, J, M.n)
+    I, J = _cover_from_matching(S, match_row, match_col, size)
+    hs = separating_halfspace(I, J, n)
     for g in M.generators:
         if not hs.contains(g):
             raise RuntimeError("cover half-space misses a generator")

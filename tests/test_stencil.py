@@ -1,8 +1,11 @@
 """Stencils, matchings, covers, half-spaces, certificates and sampling."""
 
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,15 @@ from newtoncert import lp, polytope, stencil
 from newtoncert.gaussian import GaussianRational
 from newtoncert.morse import GENERICALLY_MORSE, NEVER_MORSE, classify_support
 from newtoncert.poly import determinant
-from newtoncert.polytope import LatticePolytope, barycenter, two_delta_points
+from newtoncert.polytope import (
+    ConvexCombination,
+    LatticePolytope,
+    barycenter,
+    contains_point,
+    lattice_points,
+    pair_point,
+    two_delta_points,
+)
 from newtoncert.stencil import (
     CoverCertificate,
     MatchingCertificate,
@@ -345,24 +356,125 @@ def test_random_certify_larger_dimensions():
 
 
 def test_certify_and_classify_solve_no_lp(monkeypatch):
-    """On supports of degree >= 2 the stencil, the certificate and the
-    Morse verdict come from the pair-point closure, never from an LP."""
+    """On supports of degree >= 2 the stencil, the lattice points, the
+    certificate and the Morse verdict come from the pair indices: no LP, no
+    list of all pair points, no Fraction witness and no barycenter."""
 
-    def no_lp(*args):
-        raise AssertionError("membership LP called")
+    def forbidden(*args):
+        raise AssertionError("certify path left index space")
 
-    monkeypatch.setattr(polytope, "contains_point", no_lp)
-    monkeypatch.setattr(stencil, "contains_point", no_lp)
-    monkeypatch.setattr(lp, "solve_eq_nonneg", no_lp)
     rng = random.Random(404)
     box = [p for p in itertools.product(range(4), repeat=3) if 2 <= sum(p) <= 3]
-    kinds = set()
+    cases = []
     for _ in range(60):
         n = rng.randint(2, 9)
         pts = two_delta_points(n)
         M = LatticePolytope(n, tuple(rng.sample(pts, rng.randint(1, len(pts)))))
+        N = LatticePolytope(3, tuple(rng.sample(box, rng.randint(1, 8))), True)
+        cases.append((M, N))
+    for module, name in (
+        (polytope, "two_delta_points"),
+        (polytope, "contains_point"),
+        (stencil, "contains_point"),
+        (stencil, "witness_O_from_matching"),
+        (stencil, "barycenter"),
+        (lp, "solve_eq_nonneg"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    kinds = set()
+    for M, N in cases:
         kinds.add(certify(M).kind)
         stencil_of(M)
-        N = LatticePolytope(3, tuple(rng.sample(box, rng.randint(1, 8))), True)
+        lattice_points(M)
         kinds.add(classify_support(N).kind)
     assert kinds == {"matching", "cover", GENERICALLY_MORSE, NEVER_MORSE}
+
+
+def _recheck_certificate(n, gens, cert):
+    """Check a certificate from its definition, with nothing from newtoncert."""
+    if cert["kind"] == "matching":
+        sigma = [s - 1 for s in cert["sigma"]]
+        assert sorted(sigma) == list(range(n))
+        for i, j in enumerate(sigma):
+            i, j = min(i, j), max(i, j)
+            # e_i + e_j is a generator or the midpoint of 2e_i and 2e_j
+            assert (i, j) in gens or {(i, i), (j, j)} <= gens
+    else:
+        I, J = cert["I"], cert["J"]
+        coeffs, rhs = cert["halfspace"]["coeffs"], cert["halfspace"]["rhs"]
+        assert len(I) + len(J) < n and rhs == 2
+        assert all(coeffs[i] + coeffs[j] >= rhs for i, j in gens)
+        # <coeffs, O> = 2 * sum(coeffs) / n < 2
+        assert sum(coeffs) < n
+
+
+def test_pinned_certify_table():
+    """certify, stencil_of and lattice_points on 300 pinned supports.
+
+    Each point e_i + e_j is stored as its pair [i, j], i <= j, 0-indexed;
+    stencil rows as 0/1 strings.  The supports are rich in diagonal points,
+    so the closure adds midpoints in most of them.  The table was written
+    from
+
+        rng = random.Random(20261018)
+        for k in range(300):
+            n = k % 12 + 1
+            pts = two_delta_points(n)
+            diagonal = [p for p in pts if 2 in p]
+            mixed = [p for p in pts if 2 not in p]
+            support = rng.sample(diagonal, rng.randint(1, n)) + rng.sample(
+                mixed, rng.randint(0, min(len(mixed), 2 * n))
+            )
+            M = LatticePolytope(n, tuple(support))
+
+    recording certify(M).to_json_dict(), the rows of stencil_of(M).bits and
+    decode_pair of each generator and of each point of lattice_points(M).
+    """
+    table = json.loads((Path(__file__).parent / "certify_table.json").read_text())
+    kinds = Counter()
+    for case in table:
+        n = case["n"]
+        gens = {tuple(g) for g in case["generators"]}
+        M = LatticePolytope(n, tuple(pair_point(n, i, j) for i, j in gens))
+        cert = certify(M).to_json_dict()
+        assert cert == case["certificate"]
+        assert ["".join(map(str, r)) for r in stencil_of(M).bits] == case["stencil"]
+        assert lattice_points(M) == tuple(
+            pair_point(n, i, j) for i, j in case["lattice_points"]
+        )
+        _recheck_certificate(n, gens, cert)
+        kinds[cert["kind"]] += 1
+    assert len(table) == 300 and min(kinds["matching"], kinds["cover"]) >= 100
+
+
+def test_certify_kind_is_lp_membership_exhaustive():
+    """certify says matching exactly when the exact LP puts O in M (n <= 4)."""
+    for n in (1, 2, 3, 4):
+        pts = two_delta_points(n)
+        center = barycenter(n)
+        for mask in range(1, 2 ** len(pts)):
+            M = LatticePolytope(n, tuple(p for k, p in enumerate(pts) if mask >> k & 1))
+            member = isinstance(contains_point(M, center), ConvexCombination)
+            assert (certify(M).kind == "matching") == member
+
+
+def test_certify_runs_one_max_matching(monkeypatch):
+    """Both verdicts come from a single maximum matching (Koenig's theorem)."""
+    calls = []
+    real = stencil._max_matching
+
+    def counted(S):
+        calls.append(S)
+        return real(S)
+
+    monkeypatch.setattr(stencil, "_max_matching", counted)
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        pts = two_delta_points(n)
+        M = LatticePolytope(n, tuple(rng.sample(pts, rng.randint(1, len(pts)))))
+        calls.clear()
+        kinds.add(certify(M).kind)
+        assert len(calls) == 1
+    assert kinds == {"matching", "cover"}
