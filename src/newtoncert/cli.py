@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .kouchnirenko import INFINITE, face_restriction, milnor_number
 from .morse import classify_support, quadratic_restriction
-from .poly import ParseError, determinant, parse_polynomial
+from .poly import ParseError, integer_determinant, parse_polynomial
 from .polytope import (
     ConvexCombination,
     LatticePolytope,
@@ -26,7 +26,7 @@ from .polytope import (
     newton_polyhedron,
     newton_polytope,
 )
-from .stencil import certify, sample_generic_form, stencil_of
+from .stencil import certify, sample_entries, stencil_of
 
 SEED_ENV = "NEWTON_CERTIFY_SEED"
 
@@ -170,7 +170,7 @@ def _dispatch(args, seed) -> int:
 
 
 def _sample_evidence(M: LatticePolytope, seed: int) -> dict:
-    det = determinant(sample_generic_form(M, seed))
+    det = integer_determinant(sample_entries(stencil_of(M), seed))
     return {"seed": seed, "det": str(det), "nonzero": bool(det)}
 
 

@@ -389,7 +389,12 @@ def hessian_at_zero(f: SparsePolynomial) -> QuadraticForm:
 
 
 def integer_determinant(rows: Iterable[Iterable[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
+    """Exact determinant of an integer matrix (Bareiss fraction-free elimination).
+
+    Row i becomes (pv * row_i - f * row_k) // prev; a row whose pivot-column
+    entry f is 0, common in sparse matrices, skips the f products.  Entries
+    left of the pivot column are never read again and are not cleared.
+    """
     m = [list(row) for row in rows]
     n = len(m)
     if any(len(r) != n for r in m):
@@ -399,8 +404,10 @@ def integer_determinant(rows: Iterable[Iterable[int]]) -> int:
     sign = 1
     prev = 1
     for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
+        for pivot in range(k, n):
+            if m[pivot][k]:
+                break
+        else:
             return 0
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
@@ -410,9 +417,12 @@ def integer_determinant(rows: Iterable[Iterable[int]]) -> int:
         for i in range(k + 1, n):
             mi = m[i]
             f = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pv - f * mk[j]) // prev
-            mi[k] = 0
+            if f:
+                for j in range(k + 1, n):
+                    mi[j] = (mi[j] * pv - f * mk[j]) // prev
+            else:
+                for j in range(k + 1, n):
+                    mi[j] = mi[j] * pv // prev
         prev = pv
     return sign * m[n - 1][n - 1]
 

@@ -50,17 +50,16 @@ class Stencil:
     bits: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("n must be positive")
-        bits = tuple(tuple(int(v) for v in row) for row in self.bits)
-        if len(bits) != self.n or any(len(r) != self.n for r in bits):
+        bits = tuple([tuple([int(v) for v in row]) for row in self.bits])
+        if len(bits) != n or any([len(r) != n for r in bits]):
             raise ValueError("bits must be n x n")
-        if any(v not in (0, 1) for row in bits for v in row):
+        if not {v for row in bits for v in row} <= {0, 1}:
             raise ValueError("bits must be 0/1")
-        for i in range(self.n):
-            for j in range(i):
-                if bits[i][j] != bits[j][i]:
-                    raise ValueError("stencil must be symmetric")
+        if bits != tuple(zip(*bits)):
+            raise ValueError("stencil must be symmetric")
         object.__setattr__(self, "bits", bits)
 
     def to_json_dict(self) -> dict:
@@ -429,19 +428,28 @@ def sample_entries(S: Stencil, seed: int) -> Tuple[Tuple[int, ...], ...]:
     """Symmetric integer matrix with the stencil's zero pattern.
 
     Nonzero entries are drawn deterministically from the seed, uniform on
-    the nonzero integers in [-10^6, 10^6].
+    the nonzero integers in [-10^6, 10^6].  The draw order is the --seed
+    contract: the upper triangle is read row by row (i <= j), and each
+    admitted entry (i, j) takes, from random.Random(seed).getrandbits, a
+    magnitude 1 + r for the first 20-bit draw r below 10^6, then a sign,
+    negative when the first 2-bit draw below 2 is 1.  This is the stream
+    of randint(1, 10**6) followed by randint(0, 1) in CPython 3.11; it is
+    pinned in tests/sample_table.json.
     """
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     n = S.n
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
+    for i, (row, bits) in enumerate(zip(rows, S.bits)):
         for j in range(i, n):
-            if S.bits[i][j]:
-                value = rng.randint(1, 10**6)
-                if rng.randint(0, 1):
-                    value = -value
-                rows[i][j] = rows[j][i] = value
-    return tuple(tuple(r) for r in rows)
+            if bits[j]:
+                value = getrandbits(20)
+                while value >= 1000000:
+                    value = getrandbits(20)
+                sign = getrandbits(2)
+                while sign >= 2:
+                    sign = getrandbits(2)
+                row[j] = rows[j][i] = -1 - value if sign else value + 1
+    return tuple([tuple(r) for r in rows])
 
 
 def sample_generic_form(M: LatticePolytope, seed: int) -> QuadraticForm:

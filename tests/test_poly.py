@@ -181,10 +181,10 @@ def test_hessian_is_twice_quadratic_part_random():
 # -- determinants ------------------------------------------------------------
 
 
-def _det_expansion(rows):
-    """Naive permutation-expansion oracle."""
+def _det_expansion(rows, one=GR_ONE):
+    """Naive permutation-expansion oracle over the ring of `one`."""
     n = len(rows)
-    total = GR_ZERO
+    total = one - one
     for sigma in itertools.permutations(range(n)):
         sign = 1
         seen = [False] * n
@@ -198,7 +198,7 @@ def _det_expansion(rows):
                 length += 1
             if length % 2 == 0:
                 sign = -sign
-        prod = GR_ONE
+        prod = one
         for i in range(n):
             prod = prod * rows[i][sigma[i]]
         total = total + (prod if sign > 0 else -prod)
@@ -246,6 +246,26 @@ def test_integer_determinant_matches_general_path():
         form = QuadraticForm(n, tuple(tuple(gr(v) for v in row) for row in rows))
         assert determinant(form) == gr(integer_determinant(rows))
         assert gr(integer_determinant(rows)) == _det_expansion(form.rows)
+    # sparse, non-symmetric: rows whose pivot-column entry is 0 skip the
+    # multiplier product, zero leading pivots force row swaps
+    swaps = zero_columns = nonzero = 0
+    for _ in range(150):
+        n = rng.randint(0, 7)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        for cell in rng.sample(range(n * n), (n * n + 1) // 2 + rng.randint(0, n * n // 4)):
+            rows[cell // n][cell % n] = 0
+        if n and rng.random() < 0.3:
+            rows[0][0] = 0
+        if n > 1 and rng.random() < 0.2:
+            c = rng.randrange(n)
+            for row in rows:
+                row[c] = 0
+        det = integer_determinant(rows)
+        assert det == _det_expansion(rows, 1)
+        nonzero += det != 0
+        swaps += n > 1 and det != 0 and rows[0][0] == 0
+        zero_columns += n > 1 and not all(any(col) for col in zip(*rows))
+    assert min(nonzero, swaps, zero_columns) >= 10
 
 
 def test_quadratic_form_validation():

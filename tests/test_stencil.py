@@ -12,7 +12,7 @@ import pytest
 from newtoncert import lp, polytope, stencil
 from newtoncert.gaussian import GaussianRational
 from newtoncert.morse import GENERICALLY_MORSE, NEVER_MORSE, classify_support
-from newtoncert.poly import determinant
+from newtoncert.poly import determinant, integer_determinant
 from newtoncert.polytope import (
     ConvexCombination,
     LatticePolytope,
@@ -85,6 +85,19 @@ def test_stencil_requires_quadratic_simplex():
 def test_stencil_symmetry_validation():
     with pytest.raises(ValueError, match="symmetric"):
         Stencil(2, ((0, 1), (0, 0)))
+    with pytest.raises(ValueError, match="n must be positive"):
+        Stencil(0, ())
+    for bits in (((1,),), ((1, 0), (0,)), ((1, 0), (0, 1), (0, 0))):
+        with pytest.raises(ValueError, match="bits must be n x n"):
+            Stencil(2, bits)
+    with pytest.raises(ValueError, match="bits must be 0/1"):
+        Stencil(2, ((1, 2), (2, 1)))
+    # the checks run in order: shape before values, values before symmetry
+    with pytest.raises(ValueError, match="bits must be n x n"):
+        Stencil(2, ((2, 0),))
+    with pytest.raises(ValueError, match="bits must be 0/1"):
+        Stencil(2, ((0, 2), (0, 0)))
+    assert Stencil(2, [[True, 0], [0, 1]]).bits == ((1, 0), (0, 1))
 
 
 # -- matching and cover ----------------------------------------------------------
@@ -315,6 +328,47 @@ def test_sample_entries_range_and_pattern():
             else:
                 assert rows[i][j] == 0
             assert rows[i][j] == rows[j][i]
+
+
+def test_pinned_sample_table():
+    """The --seed stream and its determinants on 200 pinned stencils.
+
+    Stencil rows are stored as 0/1 strings, determinants as decimal
+    strings.  The table in sample_table.json was written by:
+
+        rng = random.Random(20261019)
+        for k in range(200):
+            n = k % 12 + 1
+            density = 0.0 if k % 25 == 0 else rng.choice((0.25, 0.5, 0.75, 1.0))
+            bits = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < density:
+                        bits[i][j] = bits[j][i] = 1
+            if rng.random() < 0.3:  # an empty row and column
+                e = rng.randrange(n)
+                for j in range(n):
+                    bits[e][j] = bits[j][e] = 0
+            seed = rng.choice((0, 1, -7, rng.randrange(2**31), rng.randrange(2**64)))
+            rows = sample_entries(Stencil(n, bits), seed)
+
+    recording rows and integer_determinant(rows).  A nonzero determinant
+    is also checked against a perfect matching of the stencil.
+    """
+    table = json.loads((Path(__file__).parent / "sample_table.json").read_text())
+    nonzero = empty_rows = 0
+    for case in table:
+        n = case["n"]
+        S = Stencil(n, tuple(tuple(map(int, r)) for r in case["stencil"]))
+        rows = sample_entries(S, case["seed"])
+        assert rows == tuple(tuple(r) for r in case["matrix"])
+        det = integer_determinant(rows)
+        assert str(det) == case["det"]
+        assert (det != 0) == (find_matching(S) is not None)
+        nonzero += det != 0
+        empty_rows += not all(any(r) for r in S.bits)
+    assert len(table) == 200 and {c["n"] for c in table} == set(range(1, 13))
+    assert min(nonzero, 200 - nonzero) >= 80 and empty_rows >= 50
 
 
 def test_certified_sampling_dichotomy_public_path():
