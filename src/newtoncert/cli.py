@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain error (with {"error": ...} on stdout),
 2 usage error, 3 failed internal self-check (with {"error": ...,
 "internal": true} on stdout; this is a bug, not a bad input).  Variables
-and certificate indices are 1-based in the surface format.
+and certificate indices are 1-based in the surface format.  --n above
+MAX_N is a domain error, raised before the input is parsed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .polytope import (
 from .stencil import certify, sample_entries, stencil_of
 
 SEED_ENV = "NEWTON_CERTIFY_SEED"
+MAX_N = 1000  # pair closures and covers take n^2 time and memory
 
 
 def _parse_points(text: str, n: int) -> LatticePolytope:
@@ -111,6 +113,8 @@ def run(argv) -> int:
 
 
 def _dispatch(args, seed) -> int:
+    if args.n > MAX_N:
+        raise ValueError(f"--n {args.n} exceeds the limit of {MAX_N} variables")
     if args.command == "newton":
         f = parse_polynomial(args.poly, args.n)
         hull = newton_polytope(f) if args.polytope else newton_polyhedron(f)

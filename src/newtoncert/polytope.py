@@ -1,9 +1,10 @@
 """Exact lattice-polytope geometry in the nonnegative orthant.
 
 A LatticePolytope is a generator point set, optionally Minkowski-summed
-with the nonnegative orthant (orthant_recession).  Membership of a general
-point runs an exact rational LP and always returns a checkable witness: a
-convex combination on success, a separating linear functional on failure.
+with the nonnegative orthant (orthant_recession).  Its vertices, and the
+Newton diagrams of kouchnirenko, come from one exact integer hull, _hull.
+Membership of a general point runs an exact rational LP and returns a
+checkable witness: a convex combination or a separating functional.
 
 The quadratic simplex 2D = conv{2e_1, ..., 2e_n} lives in the hyperplane
 x_1 + ... + x_n = 2; its lattice points are exactly the pair points
@@ -18,14 +19,16 @@ point, kept as an independent check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import lp
-from ._linalg import matrix_rank
+from ._linalg import _echelon, matrix_rank
 from .gaussian import exact_fraction
-from .poly import SparsePolynomial
+from .poly import SparsePolynomial, integer_determinant
 
 Point = Tuple[int, ...]
 RationalPoint = Tuple[Fraction, ...]
@@ -224,28 +227,88 @@ def contains_point(M: LatticePolytope, q: Sequence) -> MembershipResult:
     return sep
 
 
+def _normal(face):
+    """Normal (-c, *w) of the cone's hyperplane <w, x> = c through a face:
+    w_k = 0 for each ray e_k of the face, the rest are the signed minors of
+    its points' differences from its last point (rays sort first)."""
+    base = face[-1][1:]
+    axes = {g.index(1) - 1 for g in face if not g[0]}
+    cols = [k for k in range(len(base)) if k not in axes]
+    rows = [[g[k + 1] - base[k] for k in cols] for g in face[:-1] if g[0]]
+    w = [0] * len(base)
+    for j, k in enumerate(cols):
+        w[k] = (-1) ** j * integer_determinant([r[:j] + r[j + 1:] for r in rows])
+    return (-sum(a * b for a, b in zip(w, base)),) + tuple(w)
+
+
+def _hull(points, orthant=False):
+    """Triangulated boundary of the cone over (1, *s) for the points s, and
+    over the rays (0, *e_k) when orthant is set, by beneath-beyond.
+
+    The first n + 1 generators, rays first, must be linearly independent;
+    the later points are inserted in order.  A facet is visible from a
+    point beyond it or in its plane, and a point beyond no facet is
+    skipped, so the points left on the boundary are exactly the vertices.
+    The face made of rays only lies at infinity and is never stored.  Maps
+    each facet (a sorted n-tuple of generators) to its inner normal
+    (-c, *w): <w, s> >= c on the hull.
+    """
+    n = len(points[0])
+    gens = [(0,) + tuple(int(k == axis) for k in range(n)) for axis in range(n) if orthant]
+    gens += [(1,) + tuple(p) for p in points]
+    inner = [sum(col) for col in zip(*gens[: n + 1])]  # an interior ray of the cone
+    facets = {}
+
+    def add(face):
+        h = _normal(face)
+        side = sum(a * b for a, b in zip(h, inner))
+        if side == 0:
+            raise RuntimeError(f"degenerate hull facet {face}")
+        facets[face] = h if side > 0 else tuple(-v for v in h)
+
+    for face in combinations(sorted(gens[: n + 1]), n):
+        if face[-1][0]:  # rays sort first: a point is present
+            add(face)
+    for g in gens[n + 1:]:
+        dist = {face: sum(a * b for a, b in zip(h, g)) for face, h in facets.items()}
+        if all(d >= 0 for d in dist.values()):
+            continue
+        visible = [face for face, d in dist.items() if d <= 0]
+        ridges = Counter(r for face in visible for r in combinations(face, n - 1))
+        for face in visible:
+            del facets[face]
+        for ridge, count in ridges.items():
+            if count == 1:  # shared with a facet that stays
+                add(tuple(sorted(ridge + (g,))))
+    return facets
+
+
+def _hull_vertices(facets) -> Tuple[Point, ...]:
+    return tuple(sorted({g[1:] for face in facets for g in face if g[0]}))
+
+
 def reduce_to_vertices(
     points: Sequence[Point], n: int, orthant_recession: bool
 ) -> Tuple[Point, ...]:
-    """Drop every point lying in the hull of the remaining ones."""
+    """Vertices of conv(points), plus the orthant when flagged, by _hull.
+
+    A plain support may be lower-dimensional (a quadratic form's lies in
+    sum(x) = 2), so it is projected onto the pivot coordinates of its
+    differences, injective on its affine hull; the pivot differences pick
+    the affinely independent points that start the hull.
+    """
     pts = sorted({tuple(p) for p in points})
+    if len(pts) <= 1:
+        return tuple(pts)
     if orthant_recession:
-        # cheap prefilter: componentwise domination
-        pts = [
-            p
-            for p in pts
-            if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in pts)
-        ]
-    keep = []
-    for p in pts:
-        others = [q for q in pts if q != p]
-        if not others:
-            keep.append(p)
-            continue
-        hull = LatticePolytope(n, tuple(others), orthant_recession)
-        if isinstance(contains_point(hull, p), Separation):
-            keep.append(p)
-    return tuple(keep)
+        return _hull_vertices(_hull(pts, orthant=True))
+    diffs = [[Fraction(c - b) for c, b in zip(p, pts[0])] for p in pts[1:]]
+    cols = _echelon([row[:] for row in diffs])
+    if len(cols) == 1:  # collinear: lexicographic order runs along the line
+        return (pts[0], pts[-1])
+    firsts = [pts[1 + i] for i in _echelon([list(col) for col in zip(*diffs)])]
+    projected = {tuple(p[k] for k in cols): p for p in pts[:1] + firsts + pts[1:]}
+    return tuple(sorted(projected[q] for q in _hull_vertices(_hull(list(projected)))))
 
 
 def newton_polytope(p: SparsePolynomial) -> LatticePolytope:

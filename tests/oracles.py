@@ -1,10 +1,27 @@
 """Shared independent oracles for the test suite.
 
 The grid oracle never triangulates: it rebuilds the diagram polyline with
-a plain monotone-chain pass and counts (1/m)-boxes column by column.
+a plain monotone-chain pass and counts (1/m)-boxes column by column.  The
+LP vertex oracle never builds a hull: it keeps each point that the exact
+membership LP separates from the others.
 """
 
 from fractions import Fraction
+
+from newtoncert.polytope import LatticePolytope, Separation, contains_point
+
+
+def lp_vertices(points, n, orthant_recession):
+    """Vertices of conv(points) (plus the orthant when flagged), one LP per point."""
+    pts = sorted({tuple(p) for p in points})
+    keep = []
+    for p in pts:
+        others = tuple(q for q in pts if q != p)
+        if not others or isinstance(
+            contains_point(LatticePolytope(n, others, orthant_recession), p), Separation
+        ):
+            keep.append(p)
+    return tuple(keep)
 
 
 def lower_chain(points):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from newtoncert.cli import run
+from newtoncert.cli import MAX_N, run
 
 
 def _capture(capsys, argv):
@@ -174,6 +174,56 @@ def test_morse_runs_no_lp(capsys, monkeypatch, seed):
         doc = json.loads(out)
         assert code == 0 and doc["kind"] == kind
         assert ("sample" in doc) == bool(seed and kind == "generically_morse")
+
+
+def test_newton_runs_no_lp(capsys, monkeypatch):
+    from newtoncert import lp, polytope
+    from newtoncert.poly import parse_polynomial
+
+    def no_lp(*args):
+        raise AssertionError("a Newton hull ran an LP")
+
+    solve = lp.solve_eq_nonneg
+    monkeypatch.setattr(lp, "solve_eq_nonneg", no_lp)
+    monkeypatch.setattr(polytope, "contains_point", no_lp)
+    f = parse_polynomial("x1*x2 + x1^5 + x2^7 + x1^2*x2^3*x3 + x3^4", 3)
+    corners = ((0, 0, 4), (0, 7, 0), (1, 1, 0), (5, 0, 0))
+    assert polytope.newton_polyhedron(f).generators == corners
+    assert polytope.newton_polytope(f).generators == tuple(sorted(corners + ((2, 3, 1),)))
+    # a quadratic form: its support lies in sum(x) = 2, and x1*x3 is a midpoint
+    q = parse_polynomial("x1^2 + x1*x2 + x2*x3 + x3^2 + x1*x3", 3)
+    assert polytope.newton_polytope(q).generators == ((0, 0, 2), (0, 1, 1), (1, 1, 0), (2, 0, 0))
+    assert polytope.reduce_to_vertices([(2, 0), (1, 1), (0, 2)], 2, False) == ((0, 2), (2, 0))
+    for flag in ([], ["--polytope"]):
+        code, out = _capture(capsys, ["newton", "--n", "2", "--poly", "x1*x2 + x1^5 + x2^7", *flag])
+        assert code == 0 and json.loads(out)["generators"] == [[0, 7], [1, 1], [5, 0]]
+
+    calls = []
+    monkeypatch.undo()
+    monkeypatch.setattr(lp, "solve_eq_nonneg", lambda *args: calls.append(1) or solve(*args))
+    code, out = _capture(capsys, ["contains-o", "--n", "2", "--poly", "x1*x2 + x1^5 + x2^7"])
+    assert code == 0 and json.loads(out)["contains"] is True
+    assert len(calls) == 1  # the barycenter membership only
+
+
+def test_oversize_n_rejected_before_parsing(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("an oversize request reached the computation")
+
+    for name in ("polytope._pair_closure", "stencil._pair_closure",
+                 "cli.parse_polynomial", "cli._parse_points"):
+        monkeypatch.setattr("newtoncert." + name, never)
+    too_many = str(MAX_N + 1)
+    message = '{"error":"--n %s exceeds the limit of %d variables"}\n' % (too_many, MAX_N)
+    for argv in (["morse", "--n", too_many, "--poly", "x1^2"],
+                 ["milnor", "--n", too_many, "--poly", "x1^2"],
+                 ["newton", "--n", too_many, "--poly", "x1^2"],
+                 ["face", "--n", too_many, "--poly", "x1^2", "--w", "1"],
+                 ["contains-o", "--n", too_many, "--poly", "x1^2"],
+                 ["certify", "--n", too_many, "--points", "2"],
+                 ["stencil", "--n", too_many, "--points", "2"],
+                 ["minimal", "--n", too_many, "--points", "2"]):
+        assert _capture(capsys, argv) == (1, message), argv
 
 
 def test_internal_failure_exit_3(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Under-diagram regions, exact volumes, Milnor numbers, face restrictions."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ from newtoncert.kouchnirenko import (
 )
 from newtoncert.poly import SparsePolynomial, parse_polynomial
 from newtoncert.polytope import LatticePolytope, newton_polyhedron, reduce_to_vertices
+from oracles import lp_vertices
 
 # (n, poly, mu) on 40 seeded convenient diagrams, n = 2..5, up to 20
 # vertices, each with interior points, lattice points on segments between
@@ -195,14 +197,34 @@ def _convenient_support(rng, n):
     return tuple(pts)
 
 
+def _plain_supports(rng, n):
+    """A full-dimensional support, then lower-dimensional ones: a quadratic
+    form's (in sum(x) = 2), a 2-plane, collinear points, a single point."""
+    yield [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 14))]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    yield [polytope.pair_point(n, i, j) for i, j in rng.sample(pairs, rng.randint(1, len(pairs)))]
+    base = [rng.randint(4, 7) for _ in range(n)]
+    u, v = ([rng.randint(-1, 2) for _ in range(n)] for _ in range(2))
+    yield [tuple(b + s * a + t * c for b, a, c in zip(base, u, v))
+           for s in range(-1, 2) for t in range(-1, 2) if rng.random() < 0.7] or [tuple(base)]
+    yield [tuple(b + s * a for b, a in zip(base, u)) for s in range(-1, 3)]
+    yield [tuple(base)]
+
+
 def test_region_vertices_match_lp_reduction():
     rng = random.Random(808)
-    for n in [1, 2, 3, 4, 5] * 12:
+    for n in [1, 2, 3, 4, 5, 6] * 10:
         N = LatticePolytope(n, _convenient_support(rng, n), orthant_recession=True)
         region = under_diagram_region(N)
-        assert region.vertex_generators == reduce_to_vertices(N.generators, n, True)
+        assert region.vertex_generators == lp_vertices(N.generators, n, True)
+        assert reduce_to_vertices(N.generators, n, True) == region.vertex_generators
         for simplex in region.simplices:
             assert simplex[0] == (0,) * n and len(simplex) == n + 1
+        # non-convenient: some axis carries no pure power
+        support = [p for p in N.generators if sum(p) != max(p) or p[0] == 0]
+        assert reduce_to_vertices(support, n, True) == lp_vertices(support, n, True)
+        for support in _plain_supports(rng, n):
+            assert reduce_to_vertices(support, n, False) == lp_vertices(support, n, False)
 
 
 def test_milnor_solves_no_lp(monkeypatch):
@@ -219,6 +241,23 @@ def test_milnor_solves_no_lp(monkeypatch):
     for row in MILNOR_TABLE[::5]:
         assert milnor_number(parse_polynomial(row["poly"], row["n"])) == row["mu"]
     assert milnor_number(parse_polynomial("x1^2 + x1*x2", 2)) == INFINITE
+
+
+def test_milnor_detects_a_dropped_simplex(capsys, monkeypatch):
+    from newtoncert import cli, kouchnirenko
+
+    for row in MILNOR_TABLE[::8]:
+        f = parse_polynomial(row["poly"], row["n"])
+        full = under_diagram_region(newton_polyhedron(f))
+        for k in range(len(full.simplices)):
+            dropped = dataclasses.replace(full, simplices=full.simplices[:k] + full.simplices[k + 1:])
+            monkeypatch.setattr(kouchnirenko, "under_diagram_region", lambda N: dropped)
+            with pytest.raises(RuntimeError, match="does not close up"):
+                milnor_number(f)
+        assert cli.run(["milnor", "--n", str(row["n"]), "--poly", row["poly"]]) == 3
+        assert '"internal":true' in capsys.readouterr().out
+        monkeypatch.undo()
+        assert milnor_number(f) == row["mu"]
 
 
 def test_milnor_coefficients_do_not_matter():
