@@ -2,7 +2,11 @@
 
 A LatticePolytope is a generator point set, optionally Minkowski-summed
 with the nonnegative orthant (orthant_recession).  Its vertices, and the
-Newton diagrams of kouchnirenko, come from one exact integer hull, _hull.
+Newton diagrams of kouchnirenko, come from one exact integer hull, _hull:
+beneath-beyond with primitive integer facet normals, where each new
+facet's normal is one integer combination of the normals of the two
+facets at its horizon ridge, and cofactors are taken for the start
+simplex only.
 Membership of a general point runs an exact rational LP and returns a
 checkable witness: a convex combination or a separating functional.
 
@@ -19,10 +23,11 @@ point, kept as an independent check.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import lp
@@ -250,36 +255,53 @@ def _hull(points, orthant=False):
     point beyond it or in its plane, and a point beyond no facet is
     skipped, so the points left on the boundary are exactly the vertices.
     The face made of rays only lies at infinity and is never stored.  Maps
-    each facet (a sorted n-tuple of generators) to its inner normal
-    (-c, *w): <w, s> >= c on the hull.
+    each facet (a sorted n-tuple of generators) to its primitive inner
+    normal (-c, *w): <w, s> >= c on the hull.  Only the start simplex
+    takes cofactors (_normal); a new facet through a horizon ridge and the
+    point g is the ridge's visible facet V rotated about the ridge onto g,
+    so its normal <h_K, g> h_V - <h_V, g> h_K comes from V and the kept
+    facet K on the ridge (gift-wrapping's rotation, Chand & Kapur 1970).
     """
     n = len(points[0])
     gens = [(0,) + tuple(int(k == axis) for k in range(n)) for axis in range(n) if orthant]
     gens += [(1,) + tuple(p) for p in points]
     inner = [sum(col) for col in zip(*gens[: n + 1])]  # an interior ray of the cone
+    at_infinity = (1,) + (0,) * n  # normal of the face made of rays only
     facets = {}
+    ridges = {}  # sorted (n - 1)-tuple of generators -> the stored facets holding it
 
-    def add(face):
-        h = _normal(face)
-        side = sum(a * b for a, b in zip(h, inner))
-        if side == 0:
+    def add(face, h):
+        if sum(map(mul, h, inner)) <= 0:
             raise RuntimeError(f"degenerate hull facet {face}")
-        facets[face] = h if side > 0 else tuple(-v for v in h)
+        k = gcd(*h)
+        facets[face] = tuple(v // k for v in h)
+        for ridge in combinations(face, n - 1):
+            ridges.setdefault(ridge, []).append(face)
 
     for face in combinations(sorted(gens[: n + 1]), n):
         if face[-1][0]:  # rays sort first: a point is present
-            add(face)
+            h = _normal(face)
+            add(face, h if sum(map(mul, h, inner)) >= 0 else tuple(-v for v in h))
     for g in gens[n + 1:]:
-        dist = {face: sum(a * b for a, b in zip(h, g)) for face, h in facets.items()}
+        dist = {face: sum(map(mul, h, g)) for face, h in facets.items()}
         if all(d >= 0 for d in dist.values()):
             continue
         visible = [face for face, d in dist.items() if d <= 0]
-        ridges = Counter(r for face in visible for r in combinations(face, n - 1))
+        new = []
+        for face in visible:
+            h_v, d_v = facets[face], dist[face]
+            for ridge in combinations(face, n - 1):
+                kept = [f for f in ridges[ridge] if f != face]
+                h_k, d_k = (facets[kept[0]], dist[kept[0]]) if kept else (at_infinity, 1)
+                if d_k > 0:  # a horizon ridge
+                    new.append((tuple(sorted(ridge + (g,))),
+                                [d_k * a - d_v * b for a, b in zip(h_v, h_k)]))
         for face in visible:
             del facets[face]
-        for ridge, count in ridges.items():
-            if count == 1:  # shared with a facet that stays
-                add(tuple(sorted(ridge + (g,))))
+            for ridge in combinations(face, n - 1):
+                ridges[ridge].remove(face)
+        for face, h in new:
+            add(face, h)
     return facets
 
 
@@ -295,8 +317,12 @@ def reduce_to_vertices(
     A plain support may be lower-dimensional (a quadratic form's lies in
     sum(x) = 2), so it is projected onto the pivot coordinates of its
     differences, injective on its affine hull; the pivot differences pick
-    the affinely independent points that start the hull.
+    the affinely independent points that start the hull.  Raises
+    ValueError naming the first point that does not have n coordinates.
     """
+    for p in points:
+        if len(p) != n:
+            raise ValueError(f"point {tuple(p)} does not have n = {n} coordinates")
     pts = sorted({tuple(p) for p in points})
     if len(pts) <= 1:
         return tuple(pts)

@@ -1,12 +1,14 @@
 """Newton polytopes/polyhedra, membership witnesses, FM cross-validation."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from fm_oracle import fm_contains
+from newtoncert import polytope
 from newtoncert.morse import quadratic_restriction
 from newtoncert.poly import monomial, parse_polynomial
 from newtoncert.polytope import (
@@ -19,6 +21,7 @@ from newtoncert.polytope import (
     newton_polyhedron,
     newton_polytope,
     pair_point,
+    reduce_to_vertices,
     two_delta_points,
 )
 
@@ -81,6 +84,79 @@ def test_product_with_disjoint_variables():
         # disjoint variables: exponent sums cannot collide, so no cancellation
         assert set(prod.support()) == sums
         assert set(newton_polytope(prod).generators) <= sums
+
+
+def test_reduce_to_vertices_checks_n():
+    with pytest.raises(ValueError, match=r"point \(1, 2, 3\) does not have n = 2"):
+        reduce_to_vertices([(1, 1), (1, 2, 3), (4,)], 2, False)
+    with pytest.raises(ValueError, match=r"point \(4,\) does not have n = 2"):
+        reduce_to_vertices([(4,), (1, 1)], 2, True)
+    assert reduce_to_vertices([(2, 0), (0, 2), (1, 1)], 2, True) == ((0, 2), (2, 0))
+
+
+def _seeded_hull_inputs(rng, n, orthant, hulls):
+    """Point lists for _hull: sorted for the orthant, else reordered so that
+    the first n + 1 points are affinely independent, as _hull requires."""
+    while hulls:
+        pts = sorted({tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 16))})
+        if not orthant:
+            start = []
+            for p in pts:
+                if polytope._affinely_independent(start + [p]):
+                    start.append(p)
+            if len(start) < n + 1:
+                continue
+            pts = start + [p for p in pts if p not in start]
+        hulls -= 1
+        yield pts
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def test_hull_normals_are_primitive_supporting_and_match_cofactors():
+    """Every stored normal of seeded plain and orthant hulls, n = 1..6, has
+    gcd 1, vanishes on its face, is >= 0 on every generator and ray and
+    > 0 on the interior ray, and is the cofactor normal (_normal) oriented
+    by that ray and divided by its gcd."""
+    rng = random.Random(909)
+    for n in range(1, 7):
+        for orthant in (False, True):
+            for pts in _seeded_hull_inputs(rng, n, orthant, 12):
+                gens = [(0,) + tuple(int(k == a) for k in range(n)) for a in range(n) if orthant]
+                gens += [(1,) + p for p in pts]
+                inner = [sum(col) for col in zip(*gens[: n + 1])]
+                facets = polytope._hull(pts, orthant)
+                assert facets
+                for face, h in facets.items():
+                    assert math.gcd(*h) == 1
+                    assert all(_dot(h, g) == 0 for g in face)
+                    assert all(_dot(h, g) >= 0 for g in gens)
+                    assert _dot(h, inner) > 0
+                    c = polytope._normal(face)
+                    c = c if _dot(c, inner) > 0 else tuple(-v for v in c)
+                    assert tuple(v // math.gcd(*c) for v in c) == h, face
+
+
+def test_hull_takes_cofactors_for_the_start_simplex_only(monkeypatch):
+    cofactor = polytope._normal
+    calls = []
+
+    def counted(face):
+        calls.append(face)
+        return cofactor(face)
+
+    monkeypatch.setattr(polytope, "_normal", counted)
+    rng = random.Random(910)
+    for n in (3, 4, 5):
+        for _ in range(6):
+            support = {tuple(rng.randint(2, 6) if k == a else 0 for k in range(n)) for a in range(n)}
+            support |= {tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(14)}
+            del calls[:]
+            facets = polytope._hull(sorted(support), orthant=True)
+            assert len(facets) > n + 1
+            assert 1 <= len(calls) <= n + 1, (n, len(calls), len(facets))
 
 
 # -- barycenter ---------------------------------------------------------------
