@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 domain error (with {"error": ...} on stdout),
 2 usage error, 3 failed internal self-check (with {"error": ...,
 "internal": true} on stdout; this is a bug, not a bad input).  Variables
 and certificate indices are 1-based in the surface format.  --n above
-MAX_N is a domain error, raised before the input is parsed.
+MAX_N is a domain error, raised before the input is parsed.  A seed that
+is not an integer, from --seed or from NEWTON_CERTIFY_SEED, is a usage
+error.
 """
 
 from __future__ import annotations
@@ -101,7 +103,11 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     seed = args.seed
     if seed is None and os.environ.get(SEED_ENV):
-        seed = int(os.environ[SEED_ENV])
+        try:
+            seed = int(os.environ[SEED_ENV])
+        except ValueError:
+            parser.error(f"environment variable {SEED_ENV}: invalid int value: "
+                         f"{os.environ[SEED_ENV]!r}")
     try:
         return _dispatch(args, seed)
     except (ValueError, ParseError, ZeroDivisionError) as exc:

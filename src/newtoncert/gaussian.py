@@ -6,9 +6,10 @@ is exact; floats are rejected outright so no rounding can sneak in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from ._record import Record
 
 RationalLike = Union[int, Fraction]
 
@@ -20,16 +21,14 @@ def exact_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Record):
     """A complex number re + im*i with exact rational components."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __match_args__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", exact_fraction(self.re))
-        object.__setattr__(self, "im", exact_fraction(self.im))
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", exact_fraction(re))
+        object.__setattr__(self, "im", exact_fraction(im))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

@@ -23,12 +23,12 @@ face restrictions but does not check that condition.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from typing import Optional, Sequence, Tuple
 
+from ._record import Record
 from .gaussian import exact_fraction
 from .poly import SparsePolynomial, _require_singular, integer_determinant
 from .polytope import LatticePolytope, Point, _hull, _hull_vertices
@@ -40,11 +40,13 @@ class UnboundedRegionError(ValueError):
     """The complement of the Newton polyhedron is unbounded (mu infinite)."""
 
 
-@dataclass(frozen=True)
-class VolumeVector:
+class VolumeVector(Record):
     """values[i-1] = total i-volume over all i-dimensional coordinate subspaces."""
 
-    values: Tuple[Fraction, ...]
+    __match_args__ = ("values",)
+
+    def __init__(self, values: Tuple[Fraction, ...]):
+        object.__setattr__(self, "values", values)
 
     def dim_volume(self, i: int) -> Fraction:
         if not 1 <= i <= len(self.values):
@@ -52,14 +54,20 @@ class VolumeVector:
         return self.values[i - 1]
 
 
-@dataclass(frozen=True)
-class UnderDiagramRegion:
-    """Triangulated bounded region between the origin and the diagram."""
+class UnderDiagramRegion(Record):
+    """Triangulated bounded region between the origin and the diagram.
 
-    n: int
-    vertex_generators: Tuple[Point, ...]
-    axis_intercepts: Tuple[int, ...]
-    simplices: Tuple[Tuple[Point, ...], ...]  # each: origin plus n facet points
+    Each simplex is the origin followed by the n points of a facet simplex.
+    """
+
+    __match_args__ = ("n", "vertex_generators", "axis_intercepts", "simplices")
+
+    def __init__(self, n: int, vertex_generators: Tuple[Point, ...],
+                 axis_intercepts: Tuple[int, ...], simplices: Tuple[Tuple[Point, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertex_generators", vertex_generators)
+        object.__setattr__(self, "axis_intercepts", axis_intercepts)
+        object.__setattr__(self, "simplices", simplices)
 
 
 def _axis_intercepts(gens: Sequence[Point], n: int) -> Optional[Tuple[int, ...]]:

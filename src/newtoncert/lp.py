@@ -16,20 +16,25 @@ y_i = (1 - obj[n+i] / scale) * s_i with s_i the scale of row i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import List, Sequence, Tuple, Union
 
-
-@dataclass(frozen=True)
-class Feasible:
-    x: Tuple[Fraction, ...]
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class FarkasInfeasible:
-    y: Tuple[Fraction, ...]
+class Feasible(Record):
+    __match_args__ = ("x",)
+
+    def __init__(self, x: Tuple[Fraction, ...]):
+        object.__setattr__(self, "x", x)
+
+
+class FarkasInfeasible(Record):
+    __match_args__ = ("y",)
+
+    def __init__(self, y: Tuple[Fraction, ...]):
+        object.__setattr__(self, "y", y)
 
 
 LPResult = Union[Feasible, FarkasInfeasible]

@@ -13,9 +13,9 @@ through the exact Hessian determinant at the origin.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from ._record import Record
 from .poly import (
     SparsePolynomial,
     _require_singular,
@@ -37,10 +37,12 @@ GENERICALLY_MORSE = "generically_morse"
 NEVER_MORSE = "never_morse"
 
 
-@dataclass(frozen=True)
-class MorseVerdict:
-    kind: str
-    certificate: Certificate
+class MorseVerdict(Record):
+    __match_args__ = ("kind", "certificate")
+
+    def __init__(self, kind: str, certificate: Certificate):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "certificate", certificate)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "certificate": self.certificate.to_json_dict()}
@@ -83,9 +85,11 @@ def is_morse(f: SparsePolynomial) -> bool:
     return bool(determinant(hessian_at_zero(f)))
 
 
-@dataclass(frozen=True)
-class GenericityReport:
-    entries: Tuple[Tuple[int, bool], ...]  # (seed, is_morse)
+class GenericityReport(Record):
+    __match_args__ = ("entries",)
+
+    def __init__(self, entries: Tuple[Tuple[int, bool], ...]):  # (seed, is_morse) pairs
+        object.__setattr__(self, "entries", entries)
 
     @property
     def all_morse(self) -> bool:

@@ -20,10 +20,10 @@ canonical rendering parses back to the same polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
+from ._record import Record
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, exact_fraction
 
 Exponent = Tuple[int, ...]
@@ -313,23 +313,22 @@ def parse_polynomial(text: str, n_vars: int) -> SparsePolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     """A symmetric n x n matrix of GaussianRational entries."""
 
-    n: int
-    rows: Tuple[Tuple[GaussianRational, ...], ...]
+    __match_args__ = ("n", "rows")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, rows: Tuple[Tuple[GaussianRational, ...], ...]):
+        if n < 1:
             raise ValueError("n must be positive")
-        rows = tuple(tuple(_coerce_coeff(v) for v in row) for row in self.rows)
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
+        rows = tuple(tuple(_coerce_coeff(v) for v in row) for row in rows)
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix must be n x n")
-        for i in range(self.n):
+        for i in range(n):
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"matrix not symmetric at ({i}, {j})")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
     def entry(self, i: int, j: int) -> GaussianRational:

@@ -23,7 +23,6 @@ point, kept as an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -32,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from . import lp
 from ._linalg import _echelon, matrix_rank
+from ._record import Record
 from .gaussian import exact_fraction
 from .poly import SparsePolynomial, integer_determinant
 
@@ -39,8 +39,7 @@ Point = Tuple[int, ...]
 RationalPoint = Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(Record):
     """conv(generators), plus the orthant recession cone when flagged.
 
     Generators are stored sorted and deduplicated; they are not required
@@ -48,26 +47,26 @@ class LatticePolytope:
     coordinate reductions bottom out in.
     """
 
-    n: int
-    generators: Tuple[Point, ...]
-    orthant_recession: bool = False
+    __match_args__ = ("n", "generators", "orthant_recession")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, generators: Tuple[Point, ...], orthant_recession: bool = False):
+        if n < 0:
             raise ValueError("dimension must be nonnegative")
-        gens = tuple(sorted({tuple(g) for g in self.generators}))
-        if self.n == 0:
+        gens = tuple(sorted({tuple(g) for g in generators}))
+        if n == 0:
             if gens not in ((), ((),)):
                 raise ValueError("0-dimensional polytope admits no coordinates")
             gens = ()
         elif not gens:
             raise ValueError("generator set must be nonempty")
         for g in gens:
-            if len(g) != self.n:
+            if len(g) != n:
                 raise ValueError(f"generator {g} has wrong length")
             if any(not isinstance(c, int) or c < 0 for c in g):
                 raise ValueError(f"generator {g} outside the nonnegative orthant")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "orthant_recession", orthant_recession)
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,34 +76,32 @@ class LatticePolytope:
         }
 
 
-@dataclass(frozen=True)
-class ConvexCombination:
+class ConvexCombination(Record):
     """Nonnegative rational weights summing to one over lattice points.
 
     For polyhedra the witness also carries the nonnegative recession part
     r with  target = sum(w_i * p_i) + r.
     """
 
-    points: Tuple[Point, ...]
-    weights: Tuple[Fraction, ...]
-    recession: Optional[Tuple[Fraction, ...]] = None
+    __match_args__ = ("points", "weights", "recession")
 
-    def __post_init__(self):
-        points = tuple(tuple(p) for p in self.points)
-        weights = tuple(exact_fraction(w) for w in self.weights)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
-        if self.recession is not None:
-            rec = tuple(exact_fraction(v) for v in self.recession)
-            if any(v < 0 for v in rec):
+    def __init__(self, points: Tuple[Point, ...], weights: Tuple[Fraction, ...],
+                 recession: Optional[Tuple[Fraction, ...]] = None):
+        points = tuple(tuple(p) for p in points)
+        weights = tuple(exact_fraction(w) for w in weights)
+        if recession is not None:
+            recession = tuple(exact_fraction(v) for v in recession)
+            if any(v < 0 for v in recession):
                 raise ValueError("recession vector must be nonnegative")
-            object.__setattr__(self, "recession", rec)
         if len(points) != len(weights):
             raise ValueError("points/weights length mismatch")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
         if sum(weights, Fraction(0)) != 1:
             raise ValueError("weights must sum to exactly 1")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "recession", recession)
 
     def value(self) -> RationalPoint:
         """Recompute the weighted point sum (plus recession part)."""
@@ -130,13 +127,15 @@ class ConvexCombination:
         return doc
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(Record):
     """Linear functional with <coeffs, v> >= rhs on the polytope and
     <coeffs, q> < rhs at the separated point q."""
 
-    coeffs: Tuple[Fraction, ...]
-    rhs: Fraction
+    __match_args__ = ("coeffs", "rhs")
+
+    def __init__(self, coeffs: Tuple[Fraction, ...], rhs: Fraction):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rhs", rhs)
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs], "rhs": str(self.rhs)}

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from ._record import Record
 from .gaussian import GaussianRational
 from .poly import QuadraticForm
 from .polytope import (
@@ -42,36 +42,36 @@ from .polytope import (
 MAX_SIGN_ENUMERATION = 8
 
 
-@dataclass(frozen=True)
-class Stencil:
+class Stencil(Record):
     """Symmetric n x n 0/1 matrix of admitted quadratic monomials."""
 
-    n: int
-    bits: Tuple[Tuple[int, ...], ...]
+    __match_args__ = ("n", "bits")
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, bits: Tuple[Tuple[int, ...], ...]):
         if n < 1:
             raise ValueError("n must be positive")
-        bits = tuple([tuple([int(v) for v in row]) for row in self.bits])
+        bits = tuple([tuple([int(v) for v in row]) for row in bits])
         if len(bits) != n or any([len(r) != n for r in bits]):
             raise ValueError("bits must be n x n")
         if not {v for row in bits for v in row} <= {0, 1}:
             raise ValueError("bits must be 0/1")
         if bits != tuple(zip(*bits)):
             raise ValueError("stencil must be symmetric")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "bits": [list(r) for r in self.bits]}
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(Record):
     """The constraint <coeffs, x> >= rhs."""
 
-    coeffs: Tuple[int, ...]
-    rhs: int
+    __match_args__ = ("coeffs", "rhs")
+
+    def __init__(self, coeffs: Tuple[int, ...], rhs: int):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rhs", rhs)
 
     def contains(self, point: Sequence) -> bool:
         return sum(c * x for c, x in zip(self.coeffs, point)) >= self.rhs
@@ -80,27 +80,29 @@ class HalfSpace:
         return {"coeffs": list(self.coeffs), "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
-class MatchingCertificate:
+class MatchingCertificate(Record):
     """Permutation sigma (0-indexed) with every (i, sigma(i)) a stencil one."""
 
-    sigma: Tuple[int, ...]
-
+    __match_args__ = ("sigma",)
     kind = "matching"
+
+    def __init__(self, sigma: Tuple[int, ...]):
+        object.__setattr__(self, "sigma", sigma)
 
     def to_json_dict(self) -> dict:
         return {"kind": "matching", "sigma": [s + 1 for s in self.sigma]}
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(Record):
     """Row set I and column set J covering all ones, |I|+|J| < n."""
 
-    I: Tuple[int, ...]
-    J: Tuple[int, ...]
-    halfspace: HalfSpace
-
+    __match_args__ = ("I", "J", "halfspace")
     kind = "cover"
+
+    def __init__(self, I: Tuple[int, ...], J: Tuple[int, ...], halfspace: HalfSpace):
+        object.__setattr__(self, "I", I)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "halfspace", halfspace)
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,6 +1,9 @@
 """CLI surface: JSON shapes, exit codes, determinism, seeding."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,13 +268,34 @@ def test_seed_env_var(capsys, monkeypatch):
     assert doc["sample"]["seed"] == 11
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--seed", "abc"], None),
+    ([], "abc"),
+    ([], "1.5"),
+])
+def test_non_integer_seed_is_a_usage_error(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("NEWTON_CERTIFY_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NEWTON_CERTIFY_SEED", env)
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["certify", "--n", "2", "--points", "2,0;0,2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid int value" in err
+    if env is not None:
+        assert "NEWTON_CERTIFY_SEED" in err and repr(env) in err
+
+
 def test_without_seed_no_sample(capsys, monkeypatch):
     monkeypatch.delenv("NEWTON_CERTIFY_SEED", raising=False)
     code, out = _capture(capsys, ["morse", "--n", "2", "--poly", "x1^2 + x2^2"])
     assert "sample" not in json.loads(out)
 
 
-GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "cli_pool.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "bench" / "golden" / "cli_pool.json"
 
 
 def test_golden_cli_pool(capsys, monkeypatch):
@@ -286,3 +310,15 @@ def test_golden_cli_pool(capsys, monkeypatch):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
         assert (code, capsys.readouterr().out) == (entry["code"], entry["stdout"]), entry["argv"]
+
+
+def test_cli_import_pulls_in_no_code_generation_modules():
+    """Every request pays the package import: the records are plain classes,
+    so importing the CLI brings in neither dataclasses nor what it imports.
+    -S keeps an environment's .pth imports from hiding such a module."""
+    banned = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import newtoncert.cli, sys; print([m for m in {banned!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
