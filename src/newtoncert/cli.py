@@ -51,7 +51,13 @@ def _parse_points(text: str, n: int) -> LatticePolytope:
 
 
 def _parse_covector(text: str):
-    return [Fraction(v.strip()) for v in text.split(",")]
+    entries = []
+    for v in text.split(","):
+        try:
+            entries.append(Fraction(v.strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"covector entry {v.strip()!r} has a zero denominator") from None
+    return entries
 
 
 def _emit(doc: dict) -> int:

@@ -45,9 +45,6 @@ class VolumeVector(Record):
 
     __match_args__ = ("values",)
 
-    def __init__(self, values: Tuple[Fraction, ...]):
-        object.__setattr__(self, "values", values)
-
     def dim_volume(self, i: int) -> Fraction:
         if not 1 <= i <= len(self.values):
             raise IndexError("dimension out of range")
@@ -61,13 +58,6 @@ class UnderDiagramRegion(Record):
     """
 
     __match_args__ = ("n", "vertex_generators", "axis_intercepts", "simplices")
-
-    def __init__(self, n: int, vertex_generators: Tuple[Point, ...],
-                 axis_intercepts: Tuple[int, ...], simplices: Tuple[Tuple[Point, ...], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vertex_generators", vertex_generators)
-        object.__setattr__(self, "axis_intercepts", axis_intercepts)
-        object.__setattr__(self, "simplices", simplices)
 
 
 def _axis_intercepts(gens: Sequence[Point], n: int) -> Optional[Tuple[int, ...]]:

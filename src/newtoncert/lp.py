@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 from ._record import Record
 
@@ -26,22 +26,12 @@ from ._record import Record
 class Feasible(Record):
     __match_args__ = ("x",)
 
-    def __init__(self, x: Tuple[Fraction, ...]):
-        object.__setattr__(self, "x", x)
-
 
 class FarkasInfeasible(Record):
     __match_args__ = ("y",)
 
-    def __init__(self, y: Tuple[Fraction, ...]):
-        object.__setattr__(self, "y", y)
-
 
 LPResult = Union[Feasible, FarkasInfeasible]
-
-
-def _den(v) -> int:
-    return 1 if isinstance(v, int) else v.denominator
 
 
 def _normalize(row: List[int]):
@@ -71,9 +61,9 @@ def solve_eq_nonneg(rows: Sequence[Sequence], rhs: Sequence) -> LPResult:
             raise ValueError("ragged system")
         s = 1
         for v in row:
-            d = _den(v)
+            d = v.denominator
             s = s * d // gcd(s, d)
-        d = _den(b)
+        d = b.denominator
         s = s * d // gcd(s, d)
         bi = b * s
         if bi < 0:

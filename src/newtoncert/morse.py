@@ -13,7 +13,7 @@ through the exact Hessian determinant at the origin.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ._record import Record
 from .poly import (
@@ -25,7 +25,6 @@ from .poly import (
 )
 from .polytope import LatticePolytope, lattice_points
 from .stencil import (
-    Certificate,
     CoverCertificate,
     MatchingCertificate,
     certify,
@@ -38,11 +37,9 @@ NEVER_MORSE = "never_morse"
 
 
 class MorseVerdict(Record):
-    __match_args__ = ("kind", "certificate")
+    """A kind, GENERICALLY_MORSE or NEVER_MORSE, and its certificate."""
 
-    def __init__(self, kind: str, certificate: Certificate):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "certificate", certificate)
+    __match_args__ = ("kind", "certificate")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "certificate": self.certificate.to_json_dict()}
@@ -86,10 +83,9 @@ def is_morse(f: SparsePolynomial) -> bool:
 
 
 class GenericityReport(Record):
-    __match_args__ = ("entries",)
+    """entries: one (seed, is_morse) pair per sample."""
 
-    def __init__(self, entries: Tuple[Tuple[int, bool], ...]):  # (seed, is_morse) pairs
-        object.__setattr__(self, "entries", entries)
+    __match_args__ = ("entries",)
 
     @property
     def all_morse(self) -> bool:

@@ -43,10 +43,10 @@ def _coerce_coeff(value) -> GaussianRational:
     return GaussianRational(exact_fraction(value))
 
 
-class SparsePolynomial:
+class SparsePolynomial(Record):
     """Immutable sparse polynomial; zero coefficients are never stored."""
 
-    __slots__ = ("n_vars", "_terms")
+    __match_args__ = ("n_vars", "_terms")
 
     def __init__(self, n_vars: int, terms: Mapping[Exponent, object] = ()):
         if n_vars < 1:
@@ -69,9 +69,6 @@ class SparsePolynomial:
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "_terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SparsePolynomial is immutable")
-
     @property
     def terms(self) -> Dict[Exponent, GaussianRational]:
         return dict(self._terms)
@@ -85,17 +82,8 @@ class SparsePolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparsePolynomial)
-            and self.n_vars == other.n_vars
-            and self._terms == other._terms
-        )
-
     def __hash__(self):
+        # The term dict is unhashable; equal polynomials have equal term sets.
         return hash((self.n_vars, frozenset(self._terms.items())))
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
@@ -330,9 +318,6 @@ class QuadraticForm(Record):
                     raise ValueError(f"matrix not symmetric at ({i}, {j})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.rows[i][j]
 
     def as_polynomial(self) -> SparsePolynomial:
         """The quadratic polynomial sum_ij B_ij x_i x_j."""

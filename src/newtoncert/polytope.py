@@ -133,10 +133,6 @@ class Separation(Record):
 
     __match_args__ = ("coeffs", "rhs")
 
-    def __init__(self, coeffs: Tuple[Fraction, ...], rhs: Fraction):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rhs)
-
     def to_json_dict(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs], "rhs": str(self.rhs)}
 

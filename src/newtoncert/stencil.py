@@ -69,10 +69,6 @@ class HalfSpace(Record):
 
     __match_args__ = ("coeffs", "rhs")
 
-    def __init__(self, coeffs: Tuple[int, ...], rhs: int):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rhs)
-
     def contains(self, point: Sequence) -> bool:
         return sum(c * x for c, x in zip(self.coeffs, point)) >= self.rhs
 
@@ -86,9 +82,6 @@ class MatchingCertificate(Record):
     __match_args__ = ("sigma",)
     kind = "matching"
 
-    def __init__(self, sigma: Tuple[int, ...]):
-        object.__setattr__(self, "sigma", sigma)
-
     def to_json_dict(self) -> dict:
         return {"kind": "matching", "sigma": [s + 1 for s in self.sigma]}
 
@@ -98,11 +91,6 @@ class CoverCertificate(Record):
 
     __match_args__ = ("I", "J", "halfspace")
     kind = "cover"
-
-    def __init__(self, I: Tuple[int, ...], J: Tuple[int, ...], halfspace: HalfSpace):
-        object.__setattr__(self, "I", I)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "halfspace", halfspace)
 
     def to_json_dict(self) -> dict:
         return {
@@ -350,18 +338,17 @@ def certify_via_minimal(M: LatticePolytope) -> Certificate:
     """Certificate by minimal-polytope reduction instead of matching search.
 
     The matching side extracts a minimal sub-polytope and assembles the
-    permutation from its special-vertex recursion; the cover side is
-    shared with certify.  Used to cross-validate the two constructions.
+    permutation from its special-vertex recursion; when the exact LP puts
+    the barycenter outside M, the answer is certify's cover.  Used to
+    cross-validate the two constructions.
     """
     _require_in_two_delta(M)
     membership = contains_point(M, barycenter(M.n))
     if isinstance(membership, Separation):
-        S = stencil_of(M)
-        if find_matching(S) is not None:
+        cert = certify(M)
+        if isinstance(cert, MatchingCertificate):
             raise RuntimeError("matching/membership dichotomy violated")
-        I, J = min_vertex_cover(S)
-        hs = separating_halfspace(I, J, M.n)
-        return CoverCertificate(I, J, hs)
+        return cert
     reduced = minimal_subpolytope(M)
     sigma_map = _matching_from_minimal(reduced)
     sigma = tuple(sigma_map[i] for i in range(M.n))

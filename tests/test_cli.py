@@ -130,6 +130,14 @@ def test_face_rational_covector(capsys):
     assert json.loads(out) == {"poly": "x2^2"}
 
 
+def test_face_covector_zero_denominator(capsys):
+    code, out = _capture(
+        capsys, ["face", "--n", "2", "--poly", "x1^2", "--w", "1/0,1"]
+    )
+    assert code == 1
+    assert json.loads(out) == {"error": "covector entry '1/0' has a zero denominator"}
+
+
 def test_domain_error_exit_1(capsys):
     code, out = _capture(capsys, ["milnor", "--n", "2", "--poly", "x1^2 + "])
     assert code == 1

@@ -1,5 +1,6 @@
 """The frozen value records: construction, equality, hash, repr, immutability
-and round trips through pickle and deepcopy, for every record class."""
+and round trips through pickle and deepcopy, for every record class and for
+SparsePolynomial."""
 
 import copy
 import pickle
@@ -17,10 +18,12 @@ from newtoncert import (
     MorseVerdict,
     QuadraticForm,
     Separation,
+    SparsePolynomial,
     Stencil,
     UnderDiagramRegion,
     VolumeVector,
 )
+from newtoncert._record import Record
 from newtoncert.lp import FarkasInfeasible, Feasible
 from newtoncert.morse import GenericityReport
 
@@ -110,3 +113,54 @@ def test_record_behaviour(cls, kwargs, other, text):
 
     for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
         assert type(back) is cls and back == obj and repr(back) == text
+
+
+# The records whose constructor only stores its fields: Record builds them.
+STORAGE_ONLY = [case for case in CASES if case[0] in (
+    Feasible, FarkasInfeasible, Separation, HalfSpace, MatchingCertificate, CoverCertificate,
+    MorseVerdict, GenericityReport, VolumeVector, UnderDiagramRegion)]
+
+
+@pytest.mark.parametrize("cls, kwargs, other, text", STORAGE_ONLY,
+                         ids=[c[0].__name__ for c in STORAGE_ONLY])
+def test_storage_only_record_construction(cls, kwargs, other, text):
+    assert "__init__" not in vars(cls)
+    values = tuple(kwargs.values())
+    *head, (last, last_value) = kwargs.items()
+    mixed = cls(*values[:-1], **{last: last_value})
+    assert repr(mixed) == text and mixed == cls(*values)
+    wrong = [
+        lambda: cls(*values[:-1]),                        # a field missing
+        lambda: cls(**dict(head)),                        # a field missing, by name
+        lambda: cls(*values, extra=1),                    # an unknown keyword
+        lambda: cls(**kwargs, extra=1),                   # an unknown keyword, by name
+        lambda: cls(*values, values[0]),                  # one value too many
+        lambda: cls(*values, **{cls.__match_args__[0]: values[0]}),  # a field given twice
+    ]
+    for build in wrong:
+        with pytest.raises(TypeError, match=cls.__name__):
+            build()
+
+
+def test_sparse_polynomial_record():
+    terms = {(2, 0): 1, (1, 1): GR(Fraction(1, 2), -3), (0, 3): -1}
+    f = SparsePolynomial(2, terms)
+    g = SparsePolynomial(2, dict(reversed(terms.items())))
+    assert list(f._terms) != list(g._terms)
+    assert isinstance(f, Record)
+    assert not {"__setattr__", "__eq__"} & set(vars(SparsePolynomial))
+    text = "SparsePolynomial(2, '-x2^3 + (1/2-3i)*x1*x2 + x1^2')"
+    assert repr(f) == repr(g) == text
+    assert f == g and not f != g and hash(f) == hash(g)
+    assert f != SparsePolynomial(3, {(2, 0, 0): 1}) and f != SparsePolynomial(2, {(2, 0): 1})
+
+    for name in ("n_vars", "_terms"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, getattr(f, name))
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert f == g and not f.is_zero()
+
+    for back in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert type(back) is SparsePolynomial and back == f and repr(back) == text
+        assert hash(back) == hash(f)

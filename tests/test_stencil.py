@@ -252,6 +252,16 @@ def test_certify_via_minimal_agrees_on_examples():
         if isinstance(cert, MatchingCertificate):
             S = stencil_of(M)
             assert all(S.bits[i][cert.sigma[i]] for i in range(M.n))
+    covers = 0
+    for n in (1, 2, 3, 4):
+        pts = two_delta_points(n)
+        for mask in range(1, 2 ** len(pts)):
+            M = LatticePolytope(n, tuple(p for k, p in enumerate(pts) if mask >> k & 1))
+            cert = certify(M)
+            if isinstance(cert, CoverCertificate):
+                assert certify_via_minimal(M) == cert
+                covers += 1
+    assert covers == 296
 
 
 def test_witness_from_matching():
