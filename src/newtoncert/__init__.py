@@ -5,69 +5,56 @@ polytope, emits matching or cover certificates for generic quadratic-form
 nondegeneracy, classifies singularity supports as never-Morse or
 generically-Morse, and computes Milnor numbers from Newton-diagram
 volumes.  All arithmetic is exact.
+
+The public names load on first use (PEP 562): ``import newtoncert`` imports
+no submodule, so a CLI request compiles only the modules its subcommand
+calls.
 """
 
-from .gaussian import GaussianRational
-from .kouchnirenko import (
-    INFINITE,
-    UnboundedRegionError,
-    UnderDiagramRegion,
-    VolumeVector,
-    face_restriction,
-    milnor_number,
-    under_diagram_region,
-    volumes,
-)
-from .morse import (
-    GENERICALLY_MORSE,
-    NEVER_MORSE,
-    MorseVerdict,
-    classify_support,
-    genericity_gap_demo,
-    is_morse,
-    quadratic_restriction,
-)
-from .poly import (
-    ParseError,
-    QuadraticForm,
-    SparsePolynomial,
-    determinant,
-    hessian_at_zero,
-    monomial,
-    parse_polynomial,
-    quadratic_part,
-)
-from .polytope import (
-    ConvexCombination,
-    LatticePolytope,
-    Separation,
-    barycenter,
-    contains_point,
-    is_minimal,
-    is_special_vertex,
-    lattice_points,
-    minimal_subpolytope,
-    newton_polyhedron,
-    newton_polytope,
-    pair_point,
-    reduce_special,
-    two_delta_points,
-)
-from .stencil import (
-    Certificate,
-    CoverCertificate,
-    HalfSpace,
-    MatchingCertificate,
-    Stencil,
-    certify,
-    certify_via_minimal,
-    find_matching,
-    min_vertex_cover,
-    sample_generic_form,
-    separating_halfspace,
-    sign_consistency,
-    stencil_of,
-    witness_O_from_matching,
-)
+from importlib import import_module
 
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "GaussianRational": "gaussian",
+    **dict.fromkeys((
+        "INFINITE", "UnboundedRegionError", "UnderDiagramRegion", "VolumeVector",
+        "face_restriction", "milnor_number", "under_diagram_region", "volumes",
+    ), "kouchnirenko"),
+    **dict.fromkeys((
+        "GENERICALLY_MORSE", "NEVER_MORSE", "MorseVerdict", "classify_support",
+        "genericity_gap_demo", "is_morse", "quadratic_restriction",
+    ), "morse"),
+    **dict.fromkeys((
+        "ParseError", "QuadraticForm", "SparsePolynomial", "determinant", "hessian_at_zero",
+        "monomial", "parse_polynomial", "quadratic_part",
+    ), "poly"),
+    **dict.fromkeys((
+        "ConvexCombination", "LatticePolytope", "Separation", "barycenter", "contains_point",
+        "is_minimal", "is_special_vertex", "lattice_points", "minimal_subpolytope",
+        "newton_polyhedron", "newton_polytope", "pair_point", "reduce_special",
+        "two_delta_points",
+    ), "polytope"),
+    **dict.fromkeys((
+        "Certificate", "CoverCertificate", "HalfSpace", "MatchingCertificate", "Stencil",
+        "certify", "certify_via_minimal", "find_matching", "min_vertex_cover",
+        "sample_generic_form", "separating_halfspace", "sign_consistency", "stencil_of",
+        "witness_O_from_matching",
+    ), "stencil"),
+}
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

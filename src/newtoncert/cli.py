@@ -3,39 +3,31 @@
 Exit codes: 0 success, 1 domain error (with {"error": ...} on stdout),
 2 usage error, 3 failed internal self-check (with {"error": ...,
 "internal": true} on stdout; this is a bug, not a bad input).  Variables
-and certificate indices are 1-based in the surface format.  --n above
-MAX_N is a domain error, raised before the input is parsed.  A seed that
-is not an integer, from --seed or from NEWTON_CERTIFY_SEED, is a usage
-error.
+and certificate indices are 1-based in the surface format.  --n below 1
+or above MAX_N is a domain error, raised before the input is parsed.  A
+seed that is not an integer, from --seed or from NEWTON_CERTIFY_SEED, is
+a usage error.
+
+A request imports only the modules its subcommand calls: this module
+imports nothing from the package at its top, and _dispatch imports per
+subcommand.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from fractions import Fraction
-
-from .kouchnirenko import INFINITE, face_restriction, milnor_number
-from .morse import classify_support, quadratic_restriction
-from .poly import ParseError, integer_determinant, parse_polynomial
-from .polytope import (
-    ConvexCombination,
-    LatticePolytope,
-    barycenter,
-    contains_point,
-    minimal_subpolytope,
-    newton_polyhedron,
-    newton_polytope,
-)
-from .stencil import certify, sample_entries, stencil_of
 
 SEED_ENV = "NEWTON_CERTIFY_SEED"
 MAX_N = 1000  # pair closures and covers take n^2 time and memory
 
 
-def _parse_points(text: str, n: int) -> LatticePolytope:
+def _parse_points(text: str, n: int):
+    from .polytope import LatticePolytope
+
     points = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -51,6 +43,8 @@ def _parse_points(text: str, n: int) -> LatticePolytope:
 
 
 def _parse_covector(text: str):
+    from fractions import Fraction
+
     entries = []
     for v in text.split(","):
         try:
@@ -65,7 +59,8 @@ def _emit(doc: dict) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="newtoncert",
         description="Exact Newton polytope geometry, nondegeneracy "
@@ -105,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     seed = args.seed
     if seed is None and os.environ.get(SEED_ENV):
@@ -116,7 +111,7 @@ def run(argv) -> int:
                          f"{os.environ[SEED_ENV]!r}")
     try:
         return _dispatch(args, seed)
-    except (ValueError, ParseError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # poly.ParseError is a ValueError
         print(json.dumps({"error": str(exc)}, separators=(",", ":")))
         return 1
     except RuntimeError as exc:
@@ -125,17 +120,28 @@ def run(argv) -> int:
 
 
 def _dispatch(args, seed) -> int:
+    # each branch imports the modules its subcommand calls, and no others
+    if args.n < 1:
+        raise ValueError(f"--n {args.n} is below 1: there must be at least one variable")
     if args.n > MAX_N:
         raise ValueError(f"--n {args.n} exceeds the limit of {MAX_N} variables")
     if args.command == "newton":
+        from .poly import parse_polynomial
+        from .polytope import newton_polyhedron, newton_polytope
+
         f = parse_polynomial(args.poly, args.n)
         hull = newton_polytope(f) if args.polytope else newton_polyhedron(f)
         return _emit(hull.to_json_dict())
 
     if args.command == "contains-o":
+        from .polytope import ConvexCombination, barycenter, contains_point
+
         if args.points:
             M = _parse_points(args.points, args.n)
         else:
+            from .poly import parse_polynomial
+            from .polytope import newton_polyhedron
+
             M = newton_polyhedron(parse_polynomial(args.poly, args.n))
         result = contains_point(M, barycenter(args.n))
         if isinstance(result, ConvexCombination):
@@ -143,10 +149,14 @@ def _dispatch(args, seed) -> int:
         return _emit({"contains": False, "separation": result.to_json_dict()})
 
     if args.command == "stencil":
+        from .stencil import stencil_of
+
         M = _parse_points(args.points, args.n)
         return _emit(stencil_of(M).to_json_dict())
 
     if args.command == "certify":
+        from .stencil import certify
+
         M = _parse_points(args.points, args.n)
         cert = certify(M)
         doc = cert.to_json_dict()
@@ -155,10 +165,16 @@ def _dispatch(args, seed) -> int:
         return _emit(doc)
 
     if args.command == "minimal":
+        from .polytope import minimal_subpolytope
+
         M = _parse_points(args.points, args.n)
         return _emit(minimal_subpolytope(M).to_json_dict())
 
     if args.command == "morse":
+        from .morse import classify_support, quadratic_restriction
+        from .poly import parse_polynomial
+        from .polytope import LatticePolytope
+
         # the verdict reads only the degree-2 generators: no vertex reduction
         f = parse_polynomial(args.poly, args.n)
         if f.is_zero():
@@ -172,12 +188,18 @@ def _dispatch(args, seed) -> int:
         return _emit(doc)
 
     if args.command == "milnor":
+        from .kouchnirenko import INFINITE, milnor_number
+        from .poly import parse_polynomial
+
         f = parse_polynomial(args.poly, args.n)
         mu = milnor_number(f)
         value = "infinite" if mu == INFINITE else mu
         return _emit({"mu": value, "conditional": True})
 
     if args.command == "face":
+        from .kouchnirenko import face_restriction
+        from .poly import parse_polynomial
+
         f = parse_polynomial(args.poly, args.n)
         restricted = face_restriction(f, _parse_covector(args.w))
         return _emit({"poly": restricted.render()})
@@ -185,7 +207,10 @@ def _dispatch(args, seed) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _sample_evidence(M: LatticePolytope, seed: int) -> dict:
+def _sample_evidence(M, seed: int) -> dict:
+    from .poly import integer_determinant
+    from .stencil import sample_entries, stencil_of
+
     det = integer_determinant(sample_entries(stencil_of(M), seed))
     return {"seed": seed, "det": str(det), "nonzero": bool(det)}
 

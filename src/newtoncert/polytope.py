@@ -27,13 +27,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from . import lp
-from ._linalg import _echelon, matrix_rank
 from ._record import Record
-from .gaussian import exact_fraction
-from .poly import SparsePolynomial, integer_determinant
+
+if TYPE_CHECKING:
+    from .poly import SparsePolynomial
 
 Point = Tuple[int, ...]
 RationalPoint = Tuple[Fraction, ...]
@@ -87,6 +86,8 @@ class ConvexCombination(Record):
 
     def __init__(self, points: Tuple[Point, ...], weights: Tuple[Fraction, ...],
                  recession: Optional[Tuple[Fraction, ...]] = None):
+        from .gaussian import exact_fraction
+
         points = tuple(tuple(p) for p in points)
         weights = tuple(exact_fraction(w) for w in weights)
         if recession is not None:
@@ -190,6 +191,9 @@ def contains_point(M: LatticePolytope, q: Sequence) -> MembershipResult:
     combination or separating functional is substituted back before it is
     returned, so outputs are self-checking.
     """
+    from . import lp
+    from .gaussian import exact_fraction
+
     if M.n == 0:
         raise ValueError("membership in the 0-dimensional polytope is vacuous")
     qv = tuple(exact_fraction(v) for v in q)
@@ -231,6 +235,8 @@ def _normal(face):
     """Normal (-c, *w) of the cone's hyperplane <w, x> = c through a face:
     w_k = 0 for each ray e_k of the face, the rest are the signed minors of
     its points' differences from its last point (rays sort first)."""
+    from .poly import integer_determinant
+
     base = face[-1][1:]
     axes = {g.index(1) - 1 for g in face if not g[0]}
     cols = [k for k in range(len(base)) if k not in axes]
@@ -323,6 +329,8 @@ def reduce_to_vertices(
         return tuple(pts)
     if orthant_recession:
         return _hull_vertices(_hull(pts, orthant=True))
+    from ._linalg import _echelon
+
     diffs = [[Fraction(c - b) for c, b in zip(p, pts[0])] for p in pts[1:]]
     cols = _echelon([row[:] for row in diffs])
     if len(cols) == 1:  # collinear: lexicographic order runs along the line
@@ -361,6 +369,8 @@ def _membership_weights(points: Sequence[Point], q: RationalPoint) -> Optional[T
 
 
 def _affinely_independent(points: Sequence[Point]) -> bool:
+    from ._linalg import matrix_rank
+
     if len(points) <= 1:
         return True
     base = points[0]

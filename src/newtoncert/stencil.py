@@ -17,11 +17,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ._record import Record
-from .gaussian import GaussianRational
-from .poly import QuadraticForm
 from .polytope import (
     ConvexCombination,
     LatticePolytope,
@@ -38,6 +36,9 @@ from .polytope import (
     pair_point,
     reduce_special,
 )
+
+if TYPE_CHECKING:
+    from .poly import QuadraticForm
 
 MAX_SIGN_ENUMERATION = 8
 
@@ -443,6 +444,9 @@ def sample_entries(S: Stencil, seed: int) -> Tuple[Tuple[int, ...], ...]:
 
 def sample_generic_form(M: LatticePolytope, seed: int) -> QuadraticForm:
     """Seeded generic quadratic form supported on M's stencil."""
+    from .gaussian import GaussianRational
+    from .poly import QuadraticForm
+
     S = stencil_of(M)
     rows = sample_entries(S, seed)
     return QuadraticForm(

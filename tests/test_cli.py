@@ -219,29 +219,34 @@ def test_newton_runs_no_lp(capsys, monkeypatch):
 
 def test_oversize_n_rejected_before_parsing(capsys, monkeypatch):
     def never(*args):
-        raise AssertionError("an oversize request reached the computation")
+        raise AssertionError("an out-of-range request reached the computation")
 
     for name in ("polytope._pair_closure", "stencil._pair_closure",
-                 "cli.parse_polynomial", "cli._parse_points"):
+                 "poly.parse_polynomial", "cli._parse_points"):
         monkeypatch.setattr("newtoncert." + name, never)
     too_many = str(MAX_N + 1)
-    message = '{"error":"--n %s exceeds the limit of %d variables"}\n' % (too_many, MAX_N)
-    for argv in (["morse", "--n", too_many, "--poly", "x1^2"],
-                 ["milnor", "--n", too_many, "--poly", "x1^2"],
-                 ["newton", "--n", too_many, "--poly", "x1^2"],
-                 ["face", "--n", too_many, "--poly", "x1^2", "--w", "1"],
-                 ["contains-o", "--n", too_many, "--poly", "x1^2"],
-                 ["certify", "--n", too_many, "--points", "2"],
-                 ["stencil", "--n", too_many, "--points", "2"],
-                 ["minimal", "--n", too_many, "--points", "2"]):
-        assert _capture(capsys, argv) == (1, message), argv
+    messages = {
+        too_many: '{"error":"--n %s exceeds the limit of %d variables"}\n' % (too_many, MAX_N),
+        "0": '{"error":"--n 0 is below 1: there must be at least one variable"}\n',
+        "-1": '{"error":"--n -1 is below 1: there must be at least one variable"}\n',
+    }
+    for n, message in messages.items():
+        for argv in (["morse", "--n", n, "--poly", "x1^2"],
+                     ["milnor", "--n", n, "--poly", "x1^2"],
+                     ["newton", "--n", n, "--poly", "x1^2"],
+                     ["face", "--n", n, "--poly", "x1^2", "--w", "1"],
+                     ["contains-o", "--n", n, "--poly", "x1^2"],
+                     ["certify", "--n", n, "--points", "2"],
+                     ["stencil", "--n", n, "--points", "2"],
+                     ["minimal", "--n", n, "--points", "2"]):
+            assert _capture(capsys, argv) == (1, message), argv
 
 
 def test_internal_failure_exit_3(capsys, monkeypatch):
     def broken(M):
         raise RuntimeError("cover half-space misses a generator")
 
-    monkeypatch.setattr("newtoncert.cli.certify", broken)
+    monkeypatch.setattr("newtoncert.stencil.certify", broken)
     code, out = _capture(capsys, ["certify", "--n", "2", "--points", "2,0"])
     assert code == 3
     assert out == '{"error":"cover half-space misses a generator","internal":true}\n'
@@ -320,13 +325,70 @@ def test_golden_cli_pool(capsys, monkeypatch):
         assert (code, capsys.readouterr().out) == (entry["code"], entry["stdout"]), entry["argv"]
 
 
-def test_cli_import_pulls_in_no_code_generation_modules():
-    """Every request pays the package import: the records are plain classes,
-    so importing the CLI brings in neither dataclasses nor what it imports.
-    -S keeps an environment's .pth imports from hiding such a module."""
-    banned = ("dataclasses", "inspect", "ast", "dis", "tokenize")
-    code = f"import newtoncert.cli, sys; print([m for m in {banned!r} if m in sys.modules])"
+# one real request per subcommand, and a usage error
+REQUESTS = {
+    "newton": ["newton", "--n", "2", "--poly", "x1*x2 + x1^5 + x2^7", "--polytope"],
+    "contains-o": ["contains-o", "--n", "3", "--points", "1,1,0;1,0,1;0,1,1"],
+    "stencil": ["stencil", "--n", "2", "--points", "2,0;0,2"],
+    "certify": ["certify", "--n", "3", "--points", "1,1,0;1,0,1;0,1,1"],
+    "minimal": ["minimal", "--n", "2", "--points", "2,0;1,1;0,2"],
+    "morse": ["morse", "--n", "2", "--poly", "x1^2 + x2^2"],
+    "milnor": ["milnor", "--n", "2", "--poly", "x1^3 + x2^3"],
+    "face": ["face", "--n", "2", "--poly", "x1^2 + x1*x2 + x2^3", "--w", "1,1"],
+}
+USAGE_ERROR = ["not-a-command"]
+HELP = ROOT / "tests" / "cli_help.json"
+
+
+def test_help_text_pinned(capsys, monkeypatch):
+    """--help of the top level and of every subcommand at 80 columns, twice
+    over in one process: the parser is built once and reused."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(HELP) as fh:
+        pinned = json.load(fh)
+    assert sorted(pinned) == sorted(["", *REQUESTS])
+    for _ in range(2):
+        for command, text in pinned.items():
+            with pytest.raises(SystemExit) as exc:
+                run([*command.split(), "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == text, command
+
+
+def _request_modules(argv, code):
+    """Every module a fresh `python -S -m newtoncert.cli` request imports, read
+    from -X importtime.  -S keeps an environment's .pth imports from hiding a
+    module; the request must end with the exit code given."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    env.pop("NEWTON_CERTIFY_SEED", None)
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "newtoncert.cli",
+                           *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, (argv, proc.stdout, proc.stderr)
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def _package_modules(modules):
+    return {m.split(".", 1)[1] for m in modules if m.startswith("newtoncert.")}
+
+
+def test_cli_import_pulls_in_no_code_generation_modules():
+    """The records are plain classes, so no request brings in dataclasses
+    nor what it imports."""
+    banned = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    for argv, code in [*((argv, 0) for argv in REQUESTS.values()), (USAGE_ERROR, 2)]:
+        modules = _request_modules(argv, code)
+        assert "newtoncert" in modules, argv
+        assert not banned & modules, argv
+
+
+def test_request_loads_only_its_subcommand_modules():
+    """A request imports the modules its subcommand calls, and no others."""
+    for command in ("certify", "stencil"):
+        loaded = _package_modules(_request_modules(REQUESTS[command], 0))
+        assert not {"kouchnirenko", "morse", "lp", "poly", "gaussian", "_linalg"} & loaded, \
+            (command, loaded)
+    for command in ("newton", "milnor", "face"):
+        loaded = _package_modules(_request_modules(REQUESTS[command], 0))
+        assert not {"stencil", "morse"} & loaded, (command, loaded)
+    assert _package_modules(_request_modules(USAGE_ERROR, 2)) <= {"cli"}
