@@ -47,10 +47,13 @@ def _parse_covector(text: str):
 
     entries = []
     for v in text.split(","):
+        v = v.strip()
+        if "e" in v or "E" in v:  # Fraction("1e2000000") builds every digit
+            raise ValueError(f"covector entry {v!r} has an exponent")
         try:
-            entries.append(Fraction(v.strip()))
+            entries.append(Fraction(v))
         except ZeroDivisionError:
-            raise ValueError(f"covector entry {v.strip()!r} has a zero denominator") from None
+            raise ValueError(f"covector entry {v!r} has a zero denominator") from None
     return entries
 
 

@@ -18,7 +18,8 @@ of them or the midpoint of two diagonal ones.  Lattice points inside 2D
 are read in index space: _pair_closure reads each generator once as its
 pair (i, j) and closes over the diagonal ones, giving the stencil rows and
 the lattice points without an LP; in_pair_hull is the same rule for one
-point, kept as an independent check.
+point, kept as an independent check.  Minimality is read off the same
+closure as a graph (_minimal_permutation), again without an LP.
 """
 
 from __future__ import annotations
@@ -357,25 +358,15 @@ def newton_polyhedron(f: SparsePolynomial) -> LatticePolytope:
 
 
 def _membership_weights(points: Sequence[Point], q: RationalPoint) -> Optional[Tuple[Fraction, ...]]:
-    """Basic nonnegative weights expressing q over points, or None."""
-    n = len(q)
-    hull = LatticePolytope(n, tuple(points), False)
-    res = contains_point(hull, q)
+    """Basic nonnegative weights expressing q over points, or None.
+
+    points must be sorted and distinct, so that they are the hull's
+    generators in order and the LP's weights line up with them.
+    """
+    res = contains_point(LatticePolytope(len(q), tuple(points), False), q)
     if isinstance(res, Separation):
         return None
-    # hull sorts its generators; realign to the caller's order
-    index = {p: i for i, p in enumerate(hull.generators)}
-    return tuple(res.weights[index[tuple(p)]] for p in points)
-
-
-def _affinely_independent(points: Sequence[Point]) -> bool:
-    from ._linalg import matrix_rank
-
-    if len(points) <= 1:
-        return True
-    base = points[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in points[1:]]
-    return matrix_rank(rows) == len(points) - 1
+    return res.weights
 
 
 def in_pair_hull(p: Point, gens) -> bool:
@@ -441,22 +432,59 @@ def lattice_points(M: LatticePolytope) -> Tuple[Point, ...]:
     )
 
 
+def _minimal_permutation(M: LatticePolytope) -> Optional[Tuple[int, ...]]:
+    """The permutation sigma of a minimal M, read off its pair graph, or None.
+
+    Read each pair point e_i + e_j of M as the edge ij, a loop when i = j.
+    M is minimal exactly when this graph splits into single edges, loops
+    and odd cycles that together cover every index: the supports of the
+    vertices of the fractional perfect matching polytope, which are
+    half-integral (Balinski 1965), with a loop as an odd cycle of length 1.
+    Two loops never occur apart, since their midpoint joins them.  A single
+    edge ij gives the transposition i <-> j, a loop at i the fixed point i,
+    and an odd cycle is walked from its smallest index towards its smaller
+    neighbour, each index sent to the next.  M must lie in 2D (checked by
+    the caller).
+    """
+    n = M.n
+    adj = [[b for b, bit in enumerate(row) if bit] for row in _pair_closure(M)]
+    sigma = [-1] * n
+    for a in range(n):
+        if sigma[a] >= 0:
+            continue
+        if adj[a] == [a]:  # a loop
+            sigma[a] = a
+        elif len(adj[a]) == 1 and adj[adj[a][0]] == [a]:  # a single edge
+            b = adj[a][0]
+            sigma[a], sigma[b] = b, a
+        else:  # an odd cycle through a, its smallest index
+            prev, cur, length = -1, a, 0
+            while True:
+                nbrs = adj[cur]
+                if len(nbrs) != 2 or cur in nbrs:
+                    return None
+                prev, cur = cur, nbrs[nbrs[0] == prev]
+                sigma[prev] = cur
+                length += 1
+                if cur == a:
+                    break
+            if length % 2 == 0:
+                return None
+    return tuple(sigma)
+
+
 def is_minimal(M: LatticePolytope) -> bool:
     """No proper lattice sub-polytope contains the barycenter.
 
-    Equivalent test: the barycenter has a representation over the lattice
-    points whose basic weights are all strictly positive (which forces the
-    points to be affinely independent).  The 0-dimensional polytope is
-    minimal by convention.
+    Read off the pair graph (_minimal_permutation): M is minimal exactly
+    when its pair points form single edges, loops and odd cycles covering
+    every index, so no LP and no rank is needed.  The 0-dimensional
+    polytope is minimal by convention.
     """
     if M.n == 0:
         return True
     _require_in_two_delta(M)
-    pts = lattice_points(M)
-    weights = _membership_weights(pts, barycenter(M.n))
-    if weights is None:
-        return False
-    return all(w > 0 for w in weights) and _affinely_independent(pts)
+    return _minimal_permutation(M) is not None
 
 
 def minimal_subpolytope(M: LatticePolytope) -> LatticePolytope:
@@ -468,7 +496,11 @@ def minimal_subpolytope(M: LatticePolytope) -> LatticePolytope:
     the surviving support still holds two diagonal points e_i+e_i and
     e_j+e_j their weight is rerouted through the midpoint e_i+e_j and the
     lighter diagonal is dropped; this strictly shrinks the polytope and
-    guarantees termination with at most one diagonal point.
+    guarantees termination with at most one diagonal point.  pts stays
+    sorted and distinct throughout, as _membership_weights needs.  The
+    result is whichever basic solution Bland's rule lands on, and it is
+    checked by is_minimal (a simplex whose lattice points are its
+    generators) before it is returned.
     """
     _require_in_two_delta(M)
     center = barycenter(M.n)
@@ -493,10 +525,8 @@ def minimal_subpolytope(M: LatticePolytope) -> LatticePolytope:
         if weights is None:
             raise RuntimeError("shrinking step lost the barycenter")
     result = LatticePolytope(M.n, tuple(pts), False)
-    if not _affinely_independent(result.generators):
-        raise RuntimeError("minimal sub-polytope is not a simplex")
-    if set(lattice_points(result)) != set(result.generators):
-        raise RuntimeError("minimal sub-polytope has interior lattice points")
+    if not is_minimal(result):
+        raise RuntimeError("shrinking stopped at a polytope that is not minimal")
     return result
 
 

@@ -17,30 +17,29 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Set, Tuple, Union
 
 from ._record import Record
 from .polytope import (
     ConvexCombination,
     LatticePolytope,
     Separation,
+    _minimal_permutation,
     _pair_closure,
     _require_in_two_delta,
     barycenter,
     contains_point,
-    decode_pair,
     in_pair_hull,
-    is_special_vertex,
     lattice_points,
     minimal_subpolytope,
     pair_point,
-    reduce_special,
 )
 
 if TYPE_CHECKING:
     from .poly import QuadraticForm
 
 MAX_SIGN_ENUMERATION = 8
+_BIT = {0: 0, 1: 1}  # equal keys (False, True, 0.0, Fraction(1)) map to the int
 
 
 class Stencil(Record):
@@ -51,11 +50,12 @@ class Stencil(Record):
     def __init__(self, n: int, bits: Tuple[Tuple[int, ...], ...]):
         if n < 1:
             raise ValueError("n must be positive")
-        bits = tuple([tuple([int(v) for v in row]) for row in bits])
         if len(bits) != n or any([len(r) != n for r in bits]):
             raise ValueError("bits must be n x n")
-        if not {v for row in bits for v in row} <= {0, 1}:
-            raise ValueError("bits must be 0/1")
+        try:  # a lookup, not int(): 0.5 or 1.9 must not truncate to a bit
+            bits = tuple([tuple([_BIT[v] for v in row]) for row in bits])
+        except (KeyError, TypeError):
+            raise ValueError("bits must be 0/1") from None
         if bits != tuple(zip(*bits)):
             raise ValueError("stencil must be symmetric")
         object.__setattr__(self, "n", n)
@@ -269,79 +269,15 @@ def certify(M: LatticePolytope) -> Certificate:
     return CoverCertificate(I, J, hs)
 
 
-def _zigzag_matching(S: Stencil) -> Dict[int, int]:
-    """Matching for stencils whose every row holds exactly two ones.
-
-    Cells (i, j) with bit 1 form disjoint cycles alternating row and
-    column moves; picking every other cell around each cycle yields a
-    system of pairwise row/column-disjoint cells, hence a permutation.
-    """
-    n = S.n
-    cells = [(i, j) for i in range(n) for j in range(n) if S.bits[i][j]]
-    by_row: Dict[int, List[Tuple[int, int]]] = {}
-    by_col: Dict[int, List[Tuple[int, int]]] = {}
-    for c in cells:
-        by_row.setdefault(c[0], []).append(c)
-        by_col.setdefault(c[1], []).append(c)
-    if any(len(v) != 2 for v in by_row.values()) or len(by_row) != n:
-        raise ValueError("zigzag base case requires exactly two ones per row")
-    picked: List[Tuple[int, int]] = []
-    visited: Set[Tuple[int, int]] = set()
-    for start in cells:
-        if start in visited:
-            continue
-        cycle = [start]
-        visited.add(start)
-        cur, move_row = start, True
-        while True:
-            group = by_row[cur[0]] if move_row else by_col[cur[1]]
-            nxt = group[0] if group[1] == cur else group[1]
-            if nxt == start:
-                break
-            cycle.append(nxt)
-            visited.add(nxt)
-            cur, move_row = nxt, not move_row
-        if len(cycle) % 2:
-            raise RuntimeError("alternating cycle of odd length; cannot happen")
-        picked.extend(cycle[::2])
-    sigma = {i: j for i, j in picked}
-    if sorted(sigma) != list(range(n)) or sorted(sigma.values()) != list(range(n)):
-        raise RuntimeError("cycle selection did not produce a permutation")
-    return sigma
-
-
-def _matching_from_minimal(M: LatticePolytope) -> Dict[int, int]:
-    """Permutation through the pair points of a minimal polytope.
-
-    Recursion on special vertices: a special pair {i, j} contributes the
-    transposition i <-> j (fixed point when diagonal) and the polytope
-    reduces to the simplex on the remaining coordinates; when no special
-    vertex exists every stencil row has exactly two ones and the
-    alternating-cycle selection applies.
-    """
-    if M.n == 0:
-        return {}
-    for v in lattice_points(M):
-        if is_special_vertex(M, v):
-            i, j = decode_pair(v)
-            reduced, dropped = reduce_special(M, v)
-            sub = _matching_from_minimal(reduced)
-            active = [c for c in range(M.n) if c not in dropped]
-            sigma = {active[a]: active[b] for a, b in sub.items()}
-            sigma[i] = j
-            if i != j:
-                sigma[j] = i
-            return sigma
-    return _zigzag_matching(stencil_of(M))
-
-
 def certify_via_minimal(M: LatticePolytope) -> Certificate:
     """Certificate by minimal-polytope reduction instead of matching search.
 
-    The matching side extracts a minimal sub-polytope and assembles the
-    permutation from its special-vertex recursion; when the exact LP puts
-    the barycenter outside M, the answer is certify's cover.  Used to
-    cross-validate the two constructions.
+    The matching side extracts a minimal sub-polytope and reads the
+    permutation off its pair graph (_minimal_permutation): single edges
+    give transpositions, the loop a fixed point, and each odd cycle is
+    walked from its smallest index; when the exact LP puts the barycenter
+    outside M, the answer is certify's cover.  Used to cross-validate the
+    two constructions.
     """
     _require_in_two_delta(M)
     membership = contains_point(M, barycenter(M.n))
@@ -351,8 +287,7 @@ def certify_via_minimal(M: LatticePolytope) -> Certificate:
             raise RuntimeError("matching/membership dichotomy violated")
         return cert
     reduced = minimal_subpolytope(M)
-    sigma_map = _matching_from_minimal(reduced)
-    sigma = tuple(sigma_map[i] for i in range(M.n))
+    sigma = _minimal_permutation(reduced)
     pairs = set(lattice_points(reduced))
     for i, j in enumerate(sigma):
         if pair_point(M.n, i, j) not in pairs:

@@ -3,12 +3,22 @@
 The grid oracle never triangulates: it rebuilds the diagram polyline with
 a plain monotone-chain pass and counts (1/m)-boxes column by column.  The
 LP vertex oracle never builds a hull: it keeps each point that the exact
-membership LP separates from the others.
+membership LP separates from the others.  The LP minimality oracle never
+reads the pair graph: it asks the exact LP for the barycenter's weights
+and an exact rank for affine independence.
 """
 
 from fractions import Fraction
 
-from newtoncert.polytope import LatticePolytope, Separation, contains_point
+from newtoncert._linalg import matrix_rank
+from newtoncert.polytope import (
+    ConvexCombination,
+    LatticePolytope,
+    Separation,
+    barycenter,
+    contains_point,
+    lattice_points,
+)
 
 
 def lp_vertices(points, n, orthant_recession):
@@ -22,6 +32,27 @@ def lp_vertices(points, n, orthant_recession):
         ):
             keep.append(p)
     return tuple(keep)
+
+
+def affinely_independent(points):
+    """Whether the points are affinely independent, by an exact Fraction rank."""
+    if len(points) <= 1:
+        return True
+    base = points[0]
+    rows = [[c - b for c, b in zip(p, base)] for p in points[1:]]
+    return matrix_rank(rows) == len(points) - 1
+
+
+def lp_is_minimal(M):
+    """Minimality of M inside the quadratic simplex by its LP-plus-rank
+    definition: the barycenter has basic weights over the lattice points
+    that are all positive, and those points are affinely independent."""
+    if M.n == 0:
+        return True
+    pts = lattice_points(M)  # sorted, so the LP's weights line up with pts
+    res = contains_point(LatticePolytope(M.n, pts), barycenter(M.n))
+    return (isinstance(res, ConvexCombination) and all(w > 0 for w in res.weights)
+            and affinely_independent(pts))
 
 
 def lower_chain(points):

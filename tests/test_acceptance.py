@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import grid_area, lower_chain
+from oracles import affinely_independent, grid_area, lower_chain
 
 from newtoncert.kouchnirenko import milnor_number, under_diagram_region, volumes
 from newtoncert.morse import (
@@ -28,7 +28,6 @@ from newtoncert.polytope import (
     lattice_points,
     minimal_subpolytope,
     two_delta_points,
-    _affinely_independent,
 )
 from newtoncert.stencil import (
     Stencil,
@@ -181,7 +180,7 @@ def test_criterion_5_minimal_structure():
             mm = minimal_subpolytope(M)
             pts = lattice_points(mm)
             ok = set(pts) == set(mm.generators)
-            ok = ok and _affinely_independent(pts)  # simplex
+            ok = ok and affinely_independent(pts)  # simplex
             ok = ok and len(pts) <= n
             ok = ok and sum(1 for p in pts if max(p) == 2) <= 1
             ok = ok and isinstance(contains_point(mm, center), ConvexCombination)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from newtoncert import cli
 from newtoncert.cli import MAX_N, run
 
 
@@ -136,6 +137,24 @@ def test_face_covector_zero_denominator(capsys):
     )
     assert code == 1
     assert json.loads(out) == {"error": "covector entry '1/0' has a zero denominator"}
+
+
+def test_face_covector_exponent_rejected_before_fraction(capsys, monkeypatch):
+    # Fraction("1e2000000") would build a 2,000,000-digit integer, so an
+    # exponent is refused before any Fraction exists
+    import fractions
+
+    def forbidden(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(fractions, "Fraction", forbidden)
+    for text, entry in (("1e2000000,1", "1e2000000"), (" 2E3 ,1", "2E3")):
+        with pytest.raises(ValueError, match=f"covector entry '{entry}' has an exponent"):
+            cli._parse_covector(text)
+    monkeypatch.undo()
+    code, out = _capture(capsys, ["face", "--n", "2", "--poly", "x1^2 + x2^3", "--w", "1e2,1"])
+    assert code == 1
+    assert json.loads(out) == {"error": "covector entry '1e2' has an exponent"}
 
 
 def test_domain_error_exit_1(capsys):

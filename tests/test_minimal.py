@@ -4,7 +4,9 @@ import itertools
 import random
 
 import pytest
+from oracles import lp_is_minimal
 
+from newtoncert import _linalg, lp, polytope
 from newtoncert.polytope import (
     ConvexCombination,
     LatticePolytope,
@@ -14,6 +16,7 @@ from newtoncert.polytope import (
     is_special_vertex,
     lattice_points,
     minimal_subpolytope,
+    pair_point,
     reduce_special,
     two_delta_points,
 )
@@ -93,12 +96,69 @@ def test_minimal_outputs_are_brute_force_minimal():
 
 
 def test_is_minimal_matches_brute_force():
-    for n in (2, 3):
+    """The pair-graph reading equals the LP-plus-rank definition on every
+    support with n <= 4, and the exhaustive subset search for n <= 3."""
+    for n in (1, 2, 3, 4):
         pts = two_delta_points(n)
         for mask in range(1, 2 ** len(pts)):
             subset = tuple(pts[k] for k in range(len(pts)) if mask >> k & 1)
             M = LatticePolytope(n, subset)
-            assert is_minimal(M) == _brute_force_minimal(subset, n), subset
+            assert is_minimal(M) == lp_is_minimal(M), subset
+            if n <= 3:
+                assert is_minimal(M) == _brute_force_minimal(subset, n), subset
+
+
+def _random_minimal(n, rng):
+    """Pair points of a random minimal polytope in 2D: the indices split
+    into single edges, odd cycles and at most one loop."""
+    while True:
+        idx = rng.sample(range(n), n)
+        pts, loop = [], False
+        while idx:
+            sizes = [k for k in range(2, len(idx) + 1) if k == 2 or k % 2]
+            if not loop:
+                sizes.append(1)
+            if not sizes:
+                break
+            k = rng.choice(sizes)
+            part, idx = idx[:k], idx[k:]
+            loop = loop or k == 1
+            if k <= 2:
+                pts.append(pair_point(n, part[0], part[-1]))
+            else:
+                pts += [pair_point(n, part[t], part[(t + 1) % k]) for t in range(k)]
+        if not idx:
+            return LatticePolytope(n, tuple(pts))
+
+
+def test_is_minimal_and_reduce_special_solve_no_lp(monkeypatch):
+    """On minimal polytopes up to n = 8, is_minimal, the permutation read
+    off the pair graph and the special-vertex reduction run no LP and no
+    rank."""
+
+    def forbidden(*args):
+        raise AssertionError("minimality left the pair graph")
+
+    rng = random.Random(1313)
+    cases = [_random_minimal(n, rng) for n in range(1, 9) for _ in range(12)]
+    monkeypatch.setattr(lp, "solve_eq_nonneg", forbidden)
+    monkeypatch.setattr(_linalg, "matrix_rank", forbidden)
+    reduced = 0
+    for M in cases:
+        assert is_minimal(M), M.generators
+        sigma = polytope._minimal_permutation(M)
+        assert sorted(sigma) == list(range(M.n))
+        assert {pair_point(M.n, i, j) for i, j in enumerate(sigma)} == set(M.generators)
+        for v in lattice_points(M):
+            if is_special_vertex(M, v):
+                red, _ = reduce_special(M, v)
+                assert is_minimal(red)
+                reduced += 1
+        # one more pair point always breaks minimality
+        extra = [p for p in two_delta_points(M.n) if p not in M.generators]
+        if extra:
+            assert not is_minimal(LatticePolytope(M.n, M.generators + (rng.choice(extra),)))
+    assert reduced > 0
 
 
 def test_special_vertex_examples():

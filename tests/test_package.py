@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +63,13 @@ def test_package_import_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "['newtoncert']"
+
+
+def test_trace_layers_name_live_functions():
+    """Every function that bench/spans.py wraps for --trace still exists in
+    its home module (runpy compiles the file in memory; bench/ is only read)."""
+    layers = runpy.run_path(str(ROOT / "bench" / "spans.py"))["LAYERS"]
+    for home, names in layers.items():
+        module = importlib.import_module(f"newtoncert.{home}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{home}.{name}"

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fm_oracle import fm_contains
+from oracles import affinely_independent
 from newtoncert import polytope
 from newtoncert.morse import quadratic_restriction
 from newtoncert.poly import monomial, parse_polynomial
@@ -102,7 +103,7 @@ def _seeded_hull_inputs(rng, n, orthant, hulls):
         if not orthant:
             start = []
             for p in pts:
-                if polytope._affinely_independent(start + [p]):
+                if affinely_independent(start + [p]):
                     start.append(p)
             if len(start) < n + 1:
                 continue

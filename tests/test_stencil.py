@@ -98,6 +98,13 @@ def test_stencil_symmetry_validation():
     with pytest.raises(ValueError, match="bits must be 0/1"):
         Stencil(2, ((0, 2), (0, 0)))
     assert Stencil(2, [[True, 0], [0, 1]]).bits == ((1, 0), (0, 1))
+    # a fractional entry is no bit: int() would truncate 0.5 and 1.9 to 0 and 1
+    for bits in (((0.5, 1.9), (1, 0)), ((1, 0), (0, 0.5)), ((1.0, 0), (0, 1e-9))):
+        with pytest.raises(ValueError, match="bits must be 0/1"):
+            Stencil(2, bits)
+    with pytest.raises(ValueError, match="bits must be n x n"):
+        Stencil(2, ((0.5,),))
+    assert Stencil(2, ((1.0, 0.0), (0.0, 1))).bits == ((1, 0), (0, 1))
 
 
 # -- matching and cover ----------------------------------------------------------
@@ -262,6 +269,17 @@ def test_certify_via_minimal_agrees_on_examples():
                 assert certify_via_minimal(M) == cert
                 covers += 1
     assert covers == 296
+
+
+def test_certify_via_minimal_walks_odd_cycles():
+    """An odd cycle is walked from its smallest index towards its smaller
+    neighbour; a single edge beside it is a transposition."""
+    tri = LatticePolytope(3, ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    assert certify_via_minimal(tri).sigma == (1, 2, 0)
+    n, cycle = 7, (0, 3, 6, 2, 5)
+    pts = [pair_point(n, cycle[t], cycle[(t + 1) % 5]) for t in range(5)]
+    M = LatticePolytope(n, tuple(pts) + (pair_point(n, 1, 4),))
+    assert certify_via_minimal(M).sigma == (3, 4, 5, 6, 1, 0, 2)
 
 
 def test_witness_from_matching():
