@@ -22,7 +22,7 @@ import os
 import sys
 
 SEED_ENV = "NEWTON_CERTIFY_SEED"
-MAX_N = 1000  # pair closures and covers take n^2 time and memory
+MAX_N = 1000  # n^2 time and memory for certify, stencil and morse without --seed only
 
 
 def _parse_points(text: str, n: int):
@@ -174,7 +174,7 @@ def _dispatch(args, seed) -> int:
         return _emit(minimal_subpolytope(M).to_json_dict())
 
     if args.command == "morse":
-        from .morse import classify_support, quadratic_restriction
+        from .morse import _quadratic_hull, classify_support
         from .poly import parse_polynomial
         from .polytope import LatticePolytope
 
@@ -186,8 +186,7 @@ def _dispatch(args, seed) -> int:
         verdict = classify_support(N)
         doc = verdict.to_json_dict()
         if seed is not None and verdict.kind == "generically_morse":
-            restricted = quadratic_restriction(N)
-            doc["sample"] = _sample_evidence(restricted, seed)
+            doc["sample"] = _sample_evidence(_quadratic_hull(N), seed)
         return _emit(doc)
 
     if args.command == "milnor":

@@ -5,9 +5,10 @@ when the barycenter of the quadratic simplex lies in it; the certificate
 is the matching or cover produced for its quadratic restriction.  Every
 generator must have degree >= 2 (a singularity at 0).  Then a point of
 coordinate sum 2 in the support, the barycenter included, puts all its
-weight on the degree-2 generators, so the restriction and the verdict are
-read off those generators without an LP.  Concrete functions are tested
-through the exact Hessian determinant at the origin.
+weight on the degree-2 generators, so the verdict and the samples are read
+off the hull of those generators, without an LP and without listing its
+lattice points.  Concrete functions are tested through the exact Hessian
+determinant at the origin.
 """
 
 from __future__ import annotations
@@ -45,6 +46,17 @@ class MorseVerdict(Record):
         return {"kind": self.kind, "certificate": self.certificate.to_json_dict()}
 
 
+def _quadratic_hull(M: LatticePolytope) -> Optional[LatticePolytope]:
+    """conv of the degree-2 generators of M, or None when there are none;
+    ValueError when a generator has degree < 2.  Same pair closure as
+    quadratic_restriction, so the same stencil, certificate and samples."""
+    if M.n < 1:
+        raise ValueError("empty support")
+    _require_singular(M.generators)
+    quadratic = [g for g in M.generators if sum(g) == 2]
+    return LatticePolytope(M.n, tuple(quadratic), False) if quadratic else None
+
+
 def quadratic_restriction(M: LatticePolytope) -> Optional[LatticePolytope]:
     """Hull of the pair points of M: its slice by the quadratic simplex.
 
@@ -52,27 +64,22 @@ def quadratic_restriction(M: LatticePolytope) -> Optional[LatticePolytope]:
     generators).  Raises ValueError when a generator has degree < 2;
     returns None when M contains no quadratic lattice point.
     """
-    if M.n < 1:
-        raise ValueError("empty support")
-    _require_singular(M.generators)
-    quadratic = [g for g in M.generators if sum(g) == 2]
-    if not quadratic:
-        return None
-    return LatticePolytope(M.n, lattice_points(LatticePolytope(M.n, quadratic)), False)
+    hull = _quadratic_hull(M)
+    return None if hull is None else LatticePolytope(M.n, lattice_points(hull), False)
 
 
 def classify_support(M: LatticePolytope) -> MorseVerdict:
     """Generic Morse-ness of singularities with Newton polyhedron inside M.
 
-    The barycenter lies in M exactly when it lies in the quadratic
-    restriction, so the verdict is certify's answer on the restriction; with
-    no quadratic point at all it is the empty cover.
+    The barycenter lies in M exactly when it lies in the hull of the
+    degree-2 generators, so the verdict is certify's answer on that hull,
+    in n^2 time and memory; with no quadratic point it is the empty cover.
     """
-    restricted = quadratic_restriction(M)
-    if restricted is None:
+    hull = _quadratic_hull(M)
+    if hull is None:
         cert = CoverCertificate((), (), separating_halfspace((), (), M.n))
         return MorseVerdict(NEVER_MORSE, cert)
-    cert = certify(restricted)
+    cert = certify(hull)
     generically_morse = isinstance(cert, MatchingCertificate)
     return MorseVerdict(GENERICALLY_MORSE if generically_morse else NEVER_MORSE, cert)
 
@@ -109,10 +116,10 @@ def genericity_gap_demo(M: LatticePolytope, seeds: Sequence[int]) -> GenericityR
     verdict = classify_support(M)
     if verdict.kind != GENERICALLY_MORSE:
         raise ValueError("support is not generically Morse")
-    restricted = quadratic_restriction(M)
+    hull = _quadratic_hull(M)
     entries = []
     for seed in seeds:
-        form = sample_generic_form(restricted, seed)
+        form = sample_generic_form(hull, seed)
         f = form.as_polynomial()
         rng = random.Random(seed ^ 0x5EED)
         for g in M.generators:

@@ -8,7 +8,8 @@ facet's normal is one integer combination of the normals of the two
 facets at its horizon ridge, and cofactors are taken for the start
 simplex only.
 Membership of a general point runs an exact rational LP and returns a
-checkable witness: a convex combination or a separating functional.
+checkable witness: a convex combination or a separating functional; a
+minimal sub-polytope takes one such LP and merges in closed form.
 
 The quadratic simplex 2D = conv{2e_1, ..., 2e_n} lives in the hyperplane
 x_1 + ... + x_n = 2; its lattice points are exactly the pair points
@@ -357,18 +358,6 @@ def newton_polyhedron(f: SparsePolynomial) -> LatticePolytope:
     return LatticePolytope(f.n_vars, verts, True)
 
 
-def _membership_weights(points: Sequence[Point], q: RationalPoint) -> Optional[Tuple[Fraction, ...]]:
-    """Basic nonnegative weights expressing q over points, or None.
-
-    points must be sorted and distinct, so that they are the hull's
-    generators in order and the LP's weights line up with them.
-    """
-    res = contains_point(LatticePolytope(len(q), tuple(points), False), q)
-    if isinstance(res, Separation):
-        return None
-    return res.weights
-
-
 def in_pair_hull(p: Point, gens) -> bool:
     """Whether pair point p lies in the hull of the pair points gens.
 
@@ -487,46 +476,46 @@ def is_minimal(M: LatticePolytope) -> bool:
     return _minimal_permutation(M) is not None
 
 
-def minimal_subpolytope(M: LatticePolytope) -> LatticePolytope:
-    """A minimal sub-polytope still containing the barycenter.
+def _minimal_or_none(M: LatticePolytope) -> Optional[LatticePolytope]:
+    """minimal_subpolytope's answer, or None when the barycenter is outside M.
 
-    Repeatedly expresses the barycenter over the current lattice points
-    and drops the lexicographically smallest zero-weight point.  A basic
-    solution never weights the midpoint of two diagonal points, so when
-    the surviving support still holds two diagonal points e_i+e_i and
-    e_j+e_j their weight is rerouted through the midpoint e_i+e_j and the
-    lighter diagonal is dropped; this strictly shrinks the polytope and
-    guarantees termination with at most one diagonal point.  pts stays
-    sorted and distinct throughout, as _membership_weights needs.  The
-    result is whichever basic solution Bland's rule lands on, and it is
-    checked by is_minimal (a simplex whose lattice points are its
-    generators) before it is returned.
+    The support of one basic solution is affinely independent, so while it
+    holds two diagonal points (the lexicographically smallest, 2e_i and
+    2e_j), the lighter one a (by weight, then point) gives way to the
+    midpoint e_i + e_j with weight 2 w_a and the other keeps w_b - w_a, the
+    only weights over the new support.  Checked by substitution and by
+    is_minimal.
     """
-    _require_in_two_delta(M)
+    pts = lattice_points(M)
     center = barycenter(M.n)
-    pts = list(lattice_points(M))
-    weights = _membership_weights(pts, center)
-    if weights is None:
-        raise ValueError("the barycenter is not contained in the polytope")
-    while True:
-        zeros = [p for p, w in zip(pts, weights) if w == 0]
-        if zeros:
-            pts.remove(min(zeros))
-        else:
-            diagonals = sorted(p for p in pts if max(p) == 2)
-            if len(diagonals) < 2:
-                break
-            a, b = diagonals[0], diagonals[1]
-            wmap = dict(zip(pts, weights))
-            drop = a if (wmap[a], a) <= (wmap[b], b) else b
-            mid = pair_point(M.n, a.index(2), b.index(2))
-            pts = sorted(set(pts) - {drop} | {mid})
-        weights = _membership_weights(pts, center)
-        if weights is None:
-            raise RuntimeError("shrinking step lost the barycenter")
-    result = LatticePolytope(M.n, tuple(pts), False)
+    res = contains_point(LatticePolytope(M.n, pts), center)
+    if isinstance(res, Separation):
+        return None
+    weights = {p: w for p, w in zip(res.points, res.weights) if w}
+    while len(diagonals := sorted(p for p in weights if 2 in p)) >= 2:
+        a, b = sorted(diagonals[:2], key=lambda p: (weights[p], p))
+        w_a = weights.pop(a)
+        weights[pair_point(M.n, a.index(2), b.index(2))] = 2 * w_a
+        weights[b] -= w_a
+        if not weights[b]:
+            del weights[b]
+    witness = ConvexCombination(tuple(weights), tuple(weights.values()))
+    if witness.value() != center:
+        raise RuntimeError("merged weights do not give the barycenter")
+    result = LatticePolytope(M.n, witness.points, False)
     if not is_minimal(result):
-        raise RuntimeError("shrinking stopped at a polytope that is not minimal")
+        raise RuntimeError("merged support is not minimal")
+    return result
+
+
+def minimal_subpolytope(M: LatticePolytope) -> LatticePolytope:
+    """A minimal sub-polytope still containing the barycenter: the support
+    of the first basic solution of one exact LP over the lattice points of
+    M, its diagonal points merged through their midpoints (_minimal_or_none).
+    """
+    result = _minimal_or_none(M)
+    if result is None:
+        raise ValueError("the barycenter is not contained in the polytope")
     return result
 
 

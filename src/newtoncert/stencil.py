@@ -23,15 +23,12 @@ from ._record import Record
 from .polytope import (
     ConvexCombination,
     LatticePolytope,
-    Separation,
+    _minimal_or_none,
     _minimal_permutation,
     _pair_closure,
     _require_in_two_delta,
     barycenter,
-    contains_point,
     in_pair_hull,
-    lattice_points,
-    minimal_subpolytope,
     pair_point,
 )
 
@@ -272,23 +269,20 @@ def certify(M: LatticePolytope) -> Certificate:
 def certify_via_minimal(M: LatticePolytope) -> Certificate:
     """Certificate by minimal-polytope reduction instead of matching search.
 
-    The matching side extracts a minimal sub-polytope and reads the
-    permutation off its pair graph (_minimal_permutation): single edges
-    give transpositions, the loop a fixed point, and each odd cycle is
-    walked from its smallest index; when the exact LP puts the barycenter
-    outside M, the answer is certify's cover.  Used to cross-validate the
-    two constructions.
+    The minimal sub-polytope's one exact LP (_minimal_or_none) decides
+    membership; no other LP runs.  Inside, the permutation is read off the
+    minimal polytope's pair graph (_minimal_permutation) and each of its
+    pair points checked against the generators; outside, the answer is
+    certify's cover.  Used to cross-validate the two constructions.
     """
-    _require_in_two_delta(M)
-    membership = contains_point(M, barycenter(M.n))
-    if isinstance(membership, Separation):
+    reduced = _minimal_or_none(M)
+    if reduced is None:
         cert = certify(M)
         if isinstance(cert, MatchingCertificate):
             raise RuntimeError("matching/membership dichotomy violated")
         return cert
-    reduced = minimal_subpolytope(M)
     sigma = _minimal_permutation(reduced)
-    pairs = set(lattice_points(reduced))
+    pairs = set(reduced.generators)
     for i, j in enumerate(sigma):
         if pair_point(M.n, i, j) not in pairs:
             raise RuntimeError("assembled permutation leaves the minimal polytope")

@@ -5,7 +5,9 @@ a plain monotone-chain pass and counts (1/m)-boxes column by column.  The
 LP vertex oracle never builds a hull: it keeps each point that the exact
 membership LP separates from the others.  The LP minimality oracle never
 reads the pair graph: it asks the exact LP for the barycenter's weights
-and an exact rank for affine independence.
+and an exact rank for affine independence.  The LP minimal descent never
+merges weights in closed form: it solves the barycenter LP again after
+every point it drops.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from newtoncert.polytope import (
     barycenter,
     contains_point,
     lattice_points,
+    pair_point,
 )
 
 
@@ -53,6 +56,43 @@ def lp_is_minimal(M):
     res = contains_point(LatticePolytope(M.n, pts), barycenter(M.n))
     return (isinstance(res, ConvexCombination) and all(w > 0 for w in res.weights)
             and affinely_independent(pts))
+
+
+def lp_minimal_descent(M):
+    """A minimal sub-polytope of M by repeated exact LPs, or None when the
+    barycenter lies outside M.
+
+    Solves for the barycenter over the current lattice points and drops the
+    lexicographically smallest zero-weight point; with no zero weight left
+    and two diagonal points 2e_i, 2e_j among the smallest, the lighter one
+    (by weight, then point) is replaced by their midpoint.  Each step
+    solves the LP again, until the support has at most one diagonal point.
+    """
+    n = M.n
+    center = barycenter(n)
+
+    def weights_over(pts):  # pts sorted, so the LP's weights line up with them
+        res = contains_point(LatticePolytope(n, tuple(pts)), center)
+        return None if isinstance(res, Separation) else res.weights
+
+    pts = list(lattice_points(M))
+    weights = weights_over(pts)
+    if weights is None:
+        return None
+    while True:
+        zeros = [p for p, w in zip(pts, weights) if w == 0]
+        if zeros:
+            pts.remove(min(zeros))
+        else:
+            diagonals = sorted(p for p in pts if max(p) == 2)
+            if len(diagonals) < 2:
+                return LatticePolytope(n, tuple(pts))
+            a, b = diagonals[0], diagonals[1]
+            wmap = dict(zip(pts, weights))
+            drop = a if (wmap[a], a) <= (wmap[b], b) else b
+            pts = sorted(set(pts) - {drop} | {pair_point(n, a.index(2), b.index(2))})
+        weights = weights_over(pts)
+        assert weights is not None, "a descent step lost the barycenter"
 
 
 def lower_chain(points):

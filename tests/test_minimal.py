@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from oracles import lp_is_minimal
+from oracles import lp_is_minimal, lp_minimal_descent
 
 from newtoncert import _linalg, lp, polytope
 from newtoncert.polytope import (
@@ -20,6 +20,7 @@ from newtoncert.polytope import (
     reduce_special,
     two_delta_points,
 )
+from newtoncert.stencil import certify, certify_via_minimal
 
 
 def _contains_o(points, n):
@@ -93,6 +94,77 @@ def test_minimal_outputs_are_brute_force_minimal():
             continue
         mm = minimal_subpolytope(M)
         assert _brute_force_minimal(mm.generators, 4)
+
+
+def test_minimal_equals_lp_descent_up_to_n4():
+    """One LP with closed-form diagonal merges gives the polytope of the
+    re-solving descent on every support with n <= 4."""
+    for n in (1, 2, 3, 4):
+        pts = two_delta_points(n)
+        for mask in range(1, 2 ** len(pts)):
+            subset = tuple(pts[k] for k in range(len(pts)) if mask >> k & 1)
+            M = LatticePolytope(n, subset)
+            expected = lp_minimal_descent(M)
+            if expected is None:
+                with pytest.raises(ValueError, match="barycenter"):
+                    minimal_subpolytope(M)
+            else:
+                assert minimal_subpolytope(M) == expected, subset
+
+
+def test_minimal_makes_one_lp(monkeypatch):
+    """minimal_subpolytope and certify_via_minimal each solve exactly one LP
+    on seeded supports with n = 2..10, inside and outside the barycenter."""
+    calls = []
+    solve = lp.solve_eq_nonneg
+
+    def counted(rows, rhs):
+        calls.append(1)
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(lp, "solve_eq_nonneg", counted)
+    rng = random.Random(1414)
+    inside = 0
+    for n in range(2, 11):
+        pts = two_delta_points(n)
+        for _ in range(8):
+            size = rng.randint(2, min(3 * n, len(pts)))
+            M = LatticePolytope(n, tuple(rng.sample(pts, size)))
+            contains_o = certify(M).kind == "matching"
+            calls.clear()
+            if contains_o:
+                mm = minimal_subpolytope(M)
+                assert len(calls) == 1
+                assert is_minimal(mm)
+                assert set(mm.generators) <= set(lattice_points(M))
+                inside += 1
+            calls.clear()
+            assert certify_via_minimal(M).kind == ("matching" if contains_o else "cover")
+            assert len(calls) == 1
+    assert inside >= 30
+
+
+def test_minimal_takes_first_basic_solution():
+    """At n = 5 the first basic solution's support, merged, is the answer,
+    where repeated solves would land on another minimal polytope."""
+    M = LatticePolytope(5, ((0, 0, 0, 0, 2), (0, 0, 0, 2, 0), (0, 0, 2, 0, 0),
+                            (0, 1, 0, 1, 0), (0, 1, 1, 0, 0), (1, 0, 0, 0, 1)))
+    mm = minimal_subpolytope(M)
+    assert mm.generators == ((0, 0, 0, 2, 0), (0, 1, 1, 0, 0), (1, 0, 0, 0, 1))
+    assert lp_minimal_descent(M).generators == (
+        (0, 0, 2, 0, 0), (0, 1, 0, 1, 0), (1, 0, 0, 0, 1))
+    assert is_minimal(mm)
+
+
+def test_minimal_checks_merged_weights_by_substitution(monkeypatch):
+    """A wrong basic solution is caught before anything is returned."""
+    def wrong(M, q):
+        return ConvexCombination(M.generators[:1], (1,))
+
+    monkeypatch.setattr(polytope, "contains_point", wrong)
+    M = LatticePolytope(2, ((2, 0), (1, 1), (0, 2)))
+    with pytest.raises(RuntimeError, match="barycenter"):
+        minimal_subpolytope(M)
 
 
 def test_is_minimal_matches_brute_force():

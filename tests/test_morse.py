@@ -1,9 +1,16 @@
 """Morse classification of supports and concrete Hessian tests."""
 
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from newtoncert import cli, morse
 from newtoncert.morse import (
     GENERICALLY_MORSE,
     NEVER_MORSE,
@@ -121,6 +128,45 @@ def test_quadratic_restriction():
     assert quadratic_restriction(
         newton_polyhedron(parse_polynomial("x1^3 + x2^4", 2))
     ) is None
+
+
+def test_verdict_and_sample_list_no_lattice_points(capsys, monkeypatch):
+    """classify_support and morse --seed read the hull of the degree-2
+    generators through its pair closure, never its list of pair points."""
+
+    def forbidden(*args):
+        raise AssertionError("morse listed the lattice points")
+
+    monkeypatch.setattr(morse, "lattice_points", forbidden)
+    monkeypatch.delenv("NEWTON_CERTIFY_SEED", raising=False)
+    M = newton_polyhedron(parse_polynomial("x1^2 + x2^2 + x3^2 + x1^5*x2", 3))
+    assert classify_support(M).kind == GENERICALLY_MORSE
+    assert classify_support(
+        newton_polyhedron(parse_polynomial("x1^2 + x1*x2^3 + x2^7", 2))).kind == NEVER_MORSE
+    assert cli.run(["--seed", "5", "morse", "--n", "3", "--poly", "x1^2 + x2^2 + x3^2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == GENERICALLY_MORSE and doc["sample"]["nonzero"]
+
+
+def test_morse_n1000_under_one_gib():
+    """morse at MAX_N on the sum of squares holds n^2 memory, not n^3: it
+    answers with the child's address space capped at 1 GiB."""
+    n = 1000
+    poly = " + ".join(f"x{i}^2" for i in range(1, n + 1))
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("NEWTON_CERTIFY_SEED", None)
+    proc = subprocess.run([sys.executable, "-m", "newtoncert.cli", "morse", "--n", str(n),
+                           "--poly", poly], env=env, preexec_fn=limit, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    doc = json.loads(proc.stdout)
+    assert doc["kind"] == GENERICALLY_MORSE
+    assert doc["certificate"]["sigma"] == list(range(1, n + 1))
 
 
 def test_degree_below_two_rejected():

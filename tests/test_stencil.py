@@ -457,7 +457,6 @@ def test_certify_and_classify_solve_no_lp(monkeypatch):
     for module, name in (
         (polytope, "two_delta_points"),
         (polytope, "contains_point"),
-        (stencil, "contains_point"),
         (stencil, "witness_O_from_matching"),
         (stencil, "barycenter"),
         (lp, "solve_eq_nonneg"),
