@@ -189,9 +189,11 @@ def _require_in_two_delta(M: LatticePolytope):
 def contains_point(M: LatticePolytope, q: Sequence) -> MembershipResult:
     """Exact membership of a rational point, with a verified witness.
 
-    Feasibility is decided by a rational LP; the returned convex
-    combination or separating functional is substituted back before it is
-    returned, so outputs are self-checking.
+    Feasibility is decided by a rational LP whose answer lp.solve_eq_nonneg
+    has substituted: weights x >= 0 with A x = b give the convex
+    combination; y with y.A <= 0 and y.b > 0 gives the separating
+    functional -y, valid on every generator (and >= 0 on the recession
+    cone) and below rhs at q.  Nothing is re-checked here.
     """
     from . import lp
     from .gaussian import exact_fraction
@@ -216,21 +218,8 @@ def contains_point(M: LatticePolytope, q: Sequence) -> MembershipResult:
     if isinstance(result, lp.Feasible):
         weights = result.x[:k]
         rec = result.x[k:] if M.orthant_recession else None
-        witness = ConvexCombination(gens, weights, rec)
-        if witness.value() != qv:
-            raise RuntimeError("membership witness failed verification")
-        return witness
-    u = result.y[: M.n]
-    t = result.y[M.n]
-    sep = Separation(tuple(-v for v in u), t)
-    for g in gens:
-        if sum(c * x for c, x in zip(sep.coeffs, g)) < sep.rhs:
-            raise RuntimeError("separating functional failed on a generator")
-    if M.orthant_recession and any(c < 0 for c in sep.coeffs):
-        raise RuntimeError("separating functional not valid on the recession cone")
-    if sum(c * x for c, x in zip(sep.coeffs, qv)) >= sep.rhs:
-        raise RuntimeError("separating functional does not separate the point")
-    return sep
+        return ConvexCombination(gens, weights, rec)
+    return Separation(tuple(-v for v in result.y[: M.n]), result.y[M.n])
 
 
 def _normal(face):
@@ -320,7 +309,9 @@ def reduce_to_vertices(
     A plain support may be lower-dimensional (a quadratic form's lies in
     sum(x) = 2), so it is projected onto the pivot coordinates of its
     differences, injective on its affine hull; the pivot differences pick
-    the affinely independent points that start the hull.  Raises
+    the affinely independent points that start the hull.  Only a single
+    point is answered directly: a collinear support projects to one
+    coordinate, where _hull keeps the two ends.  Raises
     ValueError naming the first point that does not have n coordinates.
     """
     for p in points:
@@ -335,8 +326,6 @@ def reduce_to_vertices(
 
     diffs = [[Fraction(c - b) for c, b in zip(p, pts[0])] for p in pts[1:]]
     cols = _echelon([row[:] for row in diffs])
-    if len(cols) == 1:  # collinear: lexicographic order runs along the line
-        return (pts[0], pts[-1])
     firsts = [pts[1 + i] for i in _echelon([list(col) for col in zip(*diffs)])]
     projected = {tuple(p[k] for k in cols): p for p in pts[:1] + firsts + pts[1:]}
     return tuple(sorted(projected[q] for q in _hull_vertices(_hull(list(projected)))))
@@ -476,15 +465,18 @@ def is_minimal(M: LatticePolytope) -> bool:
     return _minimal_permutation(M) is not None
 
 
-def _minimal_or_none(M: LatticePolytope) -> Optional[LatticePolytope]:
-    """minimal_subpolytope's answer, or None when the barycenter is outside M.
+def _minimal_or_none(
+    M: LatticePolytope,
+) -> Optional[Tuple[LatticePolytope, Tuple[int, ...]]]:
+    """minimal_subpolytope's answer and its permutation, or None when the
+    barycenter is outside M.
 
     The support of one basic solution is affinely independent, so while it
     holds two diagonal points (the lexicographically smallest, 2e_i and
     2e_j), the lighter one a (by weight, then point) gives way to the
     midpoint e_i + e_j with weight 2 w_a and the other keeps w_b - w_a, the
-    only weights over the new support.  Checked by substitution and by
-    is_minimal.
+    only weights over the new support.  Checked by substitution and by the
+    pair-graph walk (_minimal_permutation), whose sigma is returned.
     """
     pts = lattice_points(M)
     center = barycenter(M.n)
@@ -503,9 +495,10 @@ def _minimal_or_none(M: LatticePolytope) -> Optional[LatticePolytope]:
     if witness.value() != center:
         raise RuntimeError("merged weights do not give the barycenter")
     result = LatticePolytope(M.n, witness.points, False)
-    if not is_minimal(result):
+    sigma = _minimal_permutation(result)
+    if sigma is None:
         raise RuntimeError("merged support is not minimal")
-    return result
+    return result, sigma
 
 
 def minimal_subpolytope(M: LatticePolytope) -> LatticePolytope:
@@ -513,10 +506,10 @@ def minimal_subpolytope(M: LatticePolytope) -> LatticePolytope:
     of the first basic solution of one exact LP over the lattice points of
     M, its diagonal points merged through their midpoints (_minimal_or_none).
     """
-    result = _minimal_or_none(M)
-    if result is None:
+    found = _minimal_or_none(M)
+    if found is None:
         raise ValueError("the barycenter is not contained in the polytope")
-    return result
+    return found[0]
 
 
 def is_special_vertex(M: LatticePolytope, v: Point) -> bool:
@@ -557,14 +550,9 @@ def reduce_special(
     keep = [c for c in range(M.n) if c not in dropped]
     reduced_pts = tuple(tuple(p[c] for c in keep) for p in rest)
     n_red = len(keep)
-    if n_red == 0:
-        if reduced_pts:
-            raise RuntimeError("reduction produced points in dimension 0")
-        reduced = LatticePolytope(0, ())
-    elif not reduced_pts:
+    if n_red and not reduced_pts:
         raise RuntimeError("minimal polytope reduction lost all points")
-    else:
-        reduced = LatticePolytope(n_red, reduced_pts, False)
+    reduced = LatticePolytope(n_red, reduced_pts, False)
     if not is_minimal(reduced):
         raise RuntimeError("reduction of a minimal polytope is not minimal")
     return reduced, dropped

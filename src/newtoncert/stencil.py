@@ -17,14 +17,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .polytope import (
     ConvexCombination,
     LatticePolytope,
     _minimal_or_none,
-    _minimal_permutation,
     _pair_closure,
     _require_in_two_delta,
     barycenter,
@@ -109,51 +108,58 @@ def stencil_of(M: LatticePolytope) -> Stencil:
     return Stencil(M.n, _pair_closure(M))
 
 
-def _max_matching(S: Stencil):
-    """Deterministic augmenting-path maximum matching (rows scanned in order)."""
-    n = S.n
+def _max_matching(rows):
+    """Deterministic augmenting-path maximum matching on 0/1 rows.
+
+    Rows are scanned in order; from each unmatched row the search takes a
+    free column if it has one, else tries the columns in index order
+    through their matched rows, with one seen set per root row.  The
+    search keeps its path on an explicit stack, so a path through every
+    row does not recurse.
+    """
+    n = len(rows)
+    adj = [[c for c, bit in enumerate(row) if bit] for row in rows]
     match_row = [-1] * n
     match_col = [-1] * n
-
-    def augment(r: int, seen: Set[int]) -> bool:
-        for c in range(n):
-            if S.bits[r][c] and match_col[c] < 0 and c not in seen:
-                seen.add(c)
-                match_row[r] = c
-                match_col[c] = r
-                return True
-        for c in range(n):
-            if S.bits[r][c] and c not in seen:
-                seen.add(c)
-                if augment(match_col[c], seen):
-                    match_row[r] = c
-                    match_col[c] = r
-                    return True
-        return False
-
     size = 0
-    for r in range(n):
-        if augment(r, set()):
-            size += 1
+    for root in range(n):
+        seen = set()
+        path = []  # frames [row, its untried columns, the column it tries]
+        r = root
+        while r >= 0:
+            c = next((c for c in adj[r] if match_col[c] < 0), -1)  # free: not in seen
+            if c >= 0:  # flip the path: each row takes the column it tried
+                match_row[r], match_col[c] = c, r
+                for r, _, c in path:
+                    match_row[r], match_col[c] = c, r
+                size += 1
+                break
+            path.append([r, iter(adj[r]), -1])
+            r = -1
+            while path and r < 0:
+                frame = path[-1]
+                c = next((c for c in frame[1] if c not in seen), -1)
+                if c < 0:
+                    path.pop()
+                else:
+                    seen.add(c)
+                    frame[2] = c
+                    r = match_col[c]
     return match_row, match_col, size
 
 
 def find_matching(S: Stencil) -> Optional[Tuple[int, ...]]:
     """A permutation through 1-entries, or None when no perfect matching exists."""
-    match_row, _, size = _max_matching(S)
+    match_row, _, size = _max_matching(S.bits)
     if size < S.n:
         return None
     sigma = tuple(match_row)
-    _check_matching(S, sigma)
-    return sigma
-
-
-def _check_matching(S: Stencil, sigma: Sequence[int]):
     if sorted(sigma) != list(range(S.n)):
         raise RuntimeError("matching is not a permutation")
     for i, j in enumerate(sigma):
         if not S.bits[i][j]:
             raise RuntimeError(f"matching uses zero stencil entry ({i}, {j})")
+    return sigma
 
 
 def min_vertex_cover(S: Stencil) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -162,19 +168,19 @@ def min_vertex_cover(S: Stencil) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     Only defined when no perfect matching exists; the returned sets cover
     every 1-entry and satisfy |I| + |J| = max matching size < n.
     """
-    match_row, match_col, size = _max_matching(S)
+    match_row, match_col, size = _max_matching(S.bits)
     if size == S.n:
         raise ValueError("stencil has a perfect matching; no deficient cover exists")
-    return _cover_from_matching(S, match_row, match_col, size)
+    return _cover_from_matching(S.bits, match_row, match_col, size)
 
 
-def _cover_from_matching(S: Stencil, match_row, match_col, size):
-    """Koenig's cover from a maximum matching of size < n.
+def _cover_from_matching(rows, match_row, match_col, size):
+    """Koenig's cover from a maximum matching of size < n on the 0/1 rows.
 
     Rows reachable by alternating paths from the unmatched rows are left
     out of I, their columns form J; |I| + |J| equals the matching size.
     """
-    n = S.n
+    n = len(rows)
     reach_row = [False] * n
     reach_col = [False] * n
     queue = [r for r in range(n) if match_row[r] < 0]
@@ -185,7 +191,7 @@ def _cover_from_matching(S: Stencil, match_row, match_col, size):
         r = queue[head]
         head += 1
         for c in range(n):
-            if S.bits[r][c] and not reach_col[c]:
+            if rows[r][c] and not reach_col[c]:
                 reach_col[c] = True
                 r2 = match_col[c]
                 if r2 >= 0 and not reach_row[r2]:
@@ -193,59 +199,56 @@ def _cover_from_matching(S: Stencil, match_row, match_col, size):
                     queue.append(r2)
     I = tuple([r for r in range(n) if not reach_row[r]])
     J = tuple([c for c in range(n) if reach_col[c]])
-    _check_cover(S, I, J)
+    _check_cover(rows, I, J)
     if len(I) + len(J) != size:
         raise RuntimeError("cover size does not match the matching size")
     return I, J
 
 
-def _check_cover(S: Stencil, I: Sequence[int], J: Sequence[int]):
+def _check_cover(rows, I: Sequence[int], J: Sequence[int]):
     iset, jset = set(I), set(J)
-    for i in range(S.n):
-        for j in range(S.n):
-            if S.bits[i][j] and i not in iset and j not in jset:
+    for i, row in enumerate(rows):
+        for j, bit in enumerate(row):
+            if bit and i not in iset and j not in jset:
                 raise RuntimeError(f"cover misses stencil entry ({i}, {j})")
 
 
 def separating_halfspace(I: Sequence[int], J: Sequence[int], n: int) -> HalfSpace:
     """The half-space sum_{I} x_l + sum_{J} x_l >= 2 induced by a cover.
 
-    Contains every pair point both of whose index slots are covered and
-    excludes the barycenter; both facts are re-verified by integer
-    substitution: <coeffs, O> = 2 * sum(coeffs) / n is below 2 iff
-    sum(coeffs) < n, and e_i + e_j is inside iff coeffs[i] + coeffs[j] >= 2.
+    It excludes the barycenter, since <coeffs, O> = 2 * sum(coeffs) / n and
+    sum(coeffs) = |I| + |J| < n (else ValueError).  It contains every pair
+    point e_i + e_j whose two index slots are covered (i in I or j in J,
+    and j in I or i in J), since coeffs[i] + coeffs[j] >= 2 in each of the
+    four cases.  Neither fact needs a check; certify substitutes the
+    half-space into the generators.
     """
     iset, jset = set(I), set(J)
     if len(iset) + len(jset) >= n:
         raise ValueError("cover too large: half-space would not exclude the barycenter")
     coeffs = tuple([(1 if l in iset else 0) + (1 if l in jset else 0) for l in range(n)])
-    if sum(coeffs) >= n:
-        raise RuntimeError("half-space fails to exclude the barycenter")
-    for i in range(n):
-        for j in range(i, n):
-            covered = (i in iset or j in jset) and (j in iset or i in jset)
-            if covered and coeffs[i] + coeffs[j] < 2:
-                raise RuntimeError(f"half-space misses covered pair point ({i}, {j})")
     return HalfSpace(coeffs, 2)
 
 
 def certify(M: LatticePolytope) -> Certificate:
     """Matching certificate iff the barycenter lies in M, else a cover.
 
-    One maximum matching on the stencil decides: perfect, it is the
-    permutation; deficient, Koenig's cover is read from it.  Both answers
-    are checked by integer substitution before they are returned.  A
-    matching must use every index exactly twice in its pairs
-    (i, sigma(i)), which is n * O = sum_i (e_i + e_sigma(i)), and each pair
-    point must lie in M by one lookup (in_pair_hull); a cover's half-space
-    must exclude the barycenter and contain every generator of M.
+    One maximum matching on the pair closure's rows decides: perfect, it
+    is the permutation; deficient, Koenig's cover is read from it.  Each
+    answer is checked once before it is returned.  A matching must use
+    every index exactly twice in its pairs (i, sigma(i)), which is
+    n * O = sum_i (e_i + e_sigma(i)) and makes sigma a permutation, and
+    each pair point must lie in M by one lookup (in_pair_hull).  A cover
+    must meet every 1-entry and have the matching's size
+    (_cover_from_matching), and its half-space must contain every
+    generator of M; it excludes the barycenter by construction.
     """
-    S = stencil_of(M)
+    _require_in_two_delta(M)
     n = M.n
-    match_row, match_col, size = _max_matching(S)
+    rows = _pair_closure(M)
+    match_row, match_col, size = _max_matching(rows)
     if size == n:
         sigma = tuple(match_row)
-        _check_matching(S, sigma)
         uses = [0] * n
         for i, j in enumerate(sigma):
             uses[i] += 1
@@ -258,7 +261,7 @@ def certify(M: LatticePolytope) -> Certificate:
             if not in_pair_hull(p, gens):
                 raise RuntimeError(f"matching point {p} lies outside the polytope")
         return MatchingCertificate(sigma)
-    I, J = _cover_from_matching(S, match_row, match_col, size)
+    I, J = _cover_from_matching(rows, match_row, match_col, size)
     hs = separating_halfspace(I, J, n)
     for g in M.generators:
         if not hs.contains(g):
@@ -270,23 +273,18 @@ def certify_via_minimal(M: LatticePolytope) -> Certificate:
     """Certificate by minimal-polytope reduction instead of matching search.
 
     The minimal sub-polytope's one exact LP (_minimal_or_none) decides
-    membership; no other LP runs.  Inside, the permutation is read off the
-    minimal polytope's pair graph (_minimal_permutation) and each of its
-    pair points checked against the generators; outside, the answer is
-    certify's cover.  Used to cross-validate the two constructions.
+    membership; no other LP runs.  Inside, the permutation is the one that
+    _minimal_or_none read off the minimal polytope's pair graph, whose
+    walk and barycenter substitution are its checks; outside, the answer
+    is certify's cover.  Used to cross-validate the two constructions.
     """
-    reduced = _minimal_or_none(M)
-    if reduced is None:
+    found = _minimal_or_none(M)
+    if found is None:
         cert = certify(M)
         if isinstance(cert, MatchingCertificate):
             raise RuntimeError("matching/membership dichotomy violated")
         return cert
-    sigma = _minimal_permutation(reduced)
-    pairs = set(reduced.generators)
-    for i, j in enumerate(sigma):
-        if pair_point(M.n, i, j) not in pairs:
-            raise RuntimeError("assembled permutation leaves the minimal polytope")
-    return MatchingCertificate(sigma)
+    return MatchingCertificate(found[1])
 
 
 def witness_O_from_matching(sigma: Sequence[int], n: int) -> ConvexCombination:

@@ -149,10 +149,13 @@ def test_verdict_and_sample_list_no_lattice_points(capsys, monkeypatch):
 
 
 def test_morse_n1000_under_one_gib():
-    """morse at MAX_N on the sum of squares holds n^2 memory, not n^3: it
-    answers with the child's address space capped at 1 GiB."""
+    """morse at MAX_N holds n^2 memory, not n^3: it answers with the child's
+    address space capped at 1 GiB.  On the sum of squares the matching is
+    the identity; on x1^2 plus the path x_i*x_{i+1} the last row's
+    augmenting path runs back through all 1,000 rows."""
     n = 1000
-    poly = " + ".join(f"x{i}^2" for i in range(1, n + 1))
+    squares = " + ".join(f"x{i}^2" for i in range(1, n + 1))
+    path = " + ".join(["x1^2"] + [f"x{i}*x{i + 1}" for i in range(1, n)])
     cap = 1 << 30
 
     def limit():
@@ -160,13 +163,15 @@ def test_morse_n1000_under_one_gib():
 
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("NEWTON_CERTIFY_SEED", None)
-    proc = subprocess.run([sys.executable, "-m", "newtoncert.cli", "morse", "--n", str(n),
-                           "--poly", poly], env=env, preexec_fn=limit, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-500:]
-    doc = json.loads(proc.stdout)
-    assert doc["kind"] == GENERICALLY_MORSE
-    assert doc["certificate"]["sigma"] == list(range(1, n + 1))
+    for poly, sigma in ((squares, list(range(1, n + 1))),
+                        (path, [(i ^ 1) + 1 for i in range(n)])):
+        proc = subprocess.run([sys.executable, "-m", "newtoncert.cli", "morse", "--n", str(n),
+                               "--poly", poly], env=env, preexec_fn=limit, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        doc = json.loads(proc.stdout)
+        assert doc["kind"] == GENERICALLY_MORSE
+        assert doc["certificate"]["sigma"] == sigma
 
 
 def test_degree_below_two_rejected():

@@ -244,6 +244,28 @@ def test_fm_oracle_agrees_exhaustive_n4():
         assert lp_says == fm_contains(subset, O), subset
 
 
+def _substituted_membership(M, q):
+    """contains_point's verdict, its witness substituted here by hand: the
+    weights are >= 0, sum to 1 and give q (with a recession part >= 0), or
+    the functional is >= rhs on every generator, >= 0 on the recession
+    cone and < rhs at q."""
+    res = contains_point(M, q)
+    if isinstance(res, ConvexCombination):
+        assert res.points == M.generators
+        assert all(w >= 0 for w in res.weights) and sum(res.weights) == 1
+        rec = res.recession if M.orthant_recession else (0,) * M.n
+        assert all(v >= 0 for v in rec)
+        assert tuple(
+            sum(w * p[k] for p, w in zip(res.points, res.weights)) + rec[k]
+            for k in range(M.n)
+        ) == tuple(q)
+        return True
+    assert all(_dot(res.coeffs, g) >= res.rhs for g in M.generators)
+    assert not M.orthant_recession or all(c >= 0 for c in res.coeffs)
+    assert _dot(res.coeffs, q) < res.rhs
+    return False
+
+
 def test_fm_oracle_agrees_random_n5_n6():
     rng = random.Random(606)
     for n in (5, 6):
@@ -252,7 +274,7 @@ def test_fm_oracle_agrees_random_n5_n6():
             size = rng.randint(1, 9)
             subset = tuple(sorted(rng.sample(pts, size)))
             M = LatticePolytope(n, subset)
-            lp_says = isinstance(contains_point(M, barycenter(n)), ConvexCombination)
+            lp_says = _substituted_membership(M, barycenter(n))
             assert lp_says == fm_contains(subset, barycenter(n)), (n, subset)
 
 
@@ -277,7 +299,7 @@ def test_fm_oracle_agrees_with_recession():
         )
         M = LatticePolytope(n, gens, orthant_recession=True)
         q = tuple(Fraction(rng.randint(0, 5), rng.randint(1, 2)) for _ in range(n))
-        lp_says = isinstance(contains_point(M, q), ConvexCombination)
+        lp_says = _substituted_membership(M, q)
         assert lp_says == fm_contains(M.generators, q, orthant_recession=True)
 
 

@@ -153,7 +153,7 @@ def test_koenig_duality_random():
             for _ in range(rng.randint(0, n * n))
         }
         S = _stencil(n, ones)
-        _, _, size = _max_matching(S)
+        _, _, size = _max_matching(S.bits)
         if size == n:
             assert find_matching(S) is not None
         else:
@@ -220,6 +220,12 @@ def test_certify_matching_triangle():
     cert = certify(M)
     assert isinstance(cert, MatchingCertificate)
     assert cert.to_json_dict() == {"kind": "matching", "sigma": [2, 3, 1]}
+    # 2e_1 and the path e_i + e_{i+1}: the greedy pass matches row 0 to its
+    # loop and each later row but the last in pairs, so the last row's
+    # augmenting path runs back through every row
+    n = 1000
+    path = [pair_point(n, 0, 0)] + [pair_point(n, i, i + 1) for i in range(n - 1)]
+    assert certify(LatticePolytope(n, tuple(path))).sigma == tuple(i ^ 1 for i in range(n))
 
 
 def test_certify_cover_example():
