@@ -30,15 +30,13 @@ _EXPORTS = {
     ), "poly"),
     **dict.fromkeys((
         "ConvexCombination", "LatticePolytope", "Separation", "barycenter", "contains_point",
-        "is_minimal", "is_special_vertex", "lattice_points", "minimal_subpolytope",
-        "newton_polyhedron", "newton_polytope", "pair_point", "reduce_special",
-        "two_delta_points",
+        "is_minimal", "lattice_points", "minimal_subpolytope", "newton_polyhedron",
+        "newton_polytope", "pair_point", "two_delta_points",
     ), "polytope"),
     **dict.fromkeys((
         "Certificate", "CoverCertificate", "HalfSpace", "MatchingCertificate", "Stencil",
         "certify", "certify_via_minimal", "find_matching", "min_vertex_cover",
         "sample_generic_form", "separating_halfspace", "sign_consistency", "stencil_of",
-        "witness_O_from_matching",
     ), "stencil"),
 }
 

@@ -20,7 +20,8 @@ are read in index space: _pair_closure reads each generator once as its
 pair (i, j) and closes over the diagonal ones, giving the stencil rows and
 the lattice points without an LP; in_pair_hull is the same rule for one
 point, kept as an independent check.  Minimality is read off the same
-closure as a graph (_minimal_permutation), again without an LP.
+closure as a graph (_minimal_permutation), again without an LP, so no
+route needs the proof's special-vertex reduction.
 """
 
 from __future__ import annotations
@@ -511,48 +512,3 @@ def minimal_subpolytope(M: LatticePolytope) -> LatticePolytope:
         raise ValueError("the barycenter is not contained in the polytope")
     return found[0]
 
-
-def is_special_vertex(M: LatticePolytope, v: Point) -> bool:
-    """Whether no other lattice point of M uses v's smaller index.
-
-    For v = e_i + e_j with i <= j this checks index i; for minimal
-    polytopes the two index choices agree.
-    """
-    _require_in_two_delta(M)
-    v = tuple(v)
-    pts = lattice_points(M)
-    if v not in pts:
-        raise ValueError(f"{v} is not a lattice point of the polytope")
-    i, _ = decode_pair(v)
-    return all(p[i] == 0 for p in pts if p != v)
-
-
-def reduce_special(
-    M: LatticePolytope, v: Point
-) -> Tuple[LatticePolytope, Tuple[int, ...]]:
-    """Remove a special vertex and embed the rest in the reduced simplex.
-
-    Returns the reduced polytope (coordinates i and j deleted; just i when
-    v is a diagonal point) together with the sorted dropped index set.
-    The reduced polytope is minimal again; this is re-verified.
-    """
-    v = tuple(v)
-    if not is_minimal(M):
-        raise ValueError("polytope is not minimal")
-    if not is_special_vertex(M, v):
-        raise ValueError(f"{v} is not a special vertex")
-    i, j = decode_pair(v)
-    dropped = (i,) if i == j else (i, j)
-    rest = [p for p in lattice_points(M) if p != v]
-    for p in rest:
-        if any(p[d] != 0 for d in dropped):
-            raise RuntimeError("remaining point uses a dropped coordinate")
-    keep = [c for c in range(M.n) if c not in dropped]
-    reduced_pts = tuple(tuple(p[c] for c in keep) for p in rest)
-    n_red = len(keep)
-    if n_red and not reduced_pts:
-        raise RuntimeError("minimal polytope reduction lost all points")
-    reduced = LatticePolytope(n_red, reduced_pts, False)
-    if not is_minimal(reduced):
-        raise RuntimeError("reduction of a minimal polytope is not minimal")
-    return reduced, dropped

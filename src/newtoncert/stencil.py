@@ -9,7 +9,9 @@ separating the barycenter and certifies that every such form is
 degenerate.  certify works on pair indices throughout: the stencil is the
 pair closure of the generators, one maximum matching gives either the
 permutation or (Koenig's theorem) the cover, and both are checked by
-integer substitution.
+integer substitution.  The Fraction witness of a matching,
+(1/n) * sum(e_i + e_sigma(i)), is never built: the count of index uses
+in certify proves that it averages to the barycenter.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .polytope import (
-    ConvexCombination,
     LatticePolytope,
     _minimal_or_none,
     _pair_closure,
     _require_in_two_delta,
-    barycenter,
     in_pair_hull,
     pair_point,
 )
@@ -285,19 +285,6 @@ def certify_via_minimal(M: LatticePolytope) -> Certificate:
             raise RuntimeError("matching/membership dichotomy violated")
         return cert
     return MatchingCertificate(found[1])
-
-
-def witness_O_from_matching(sigma: Sequence[int], n: int) -> ConvexCombination:
-    """The combination (1/n) * sum of pair points e_i + e_sigma(i)."""
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise ValueError("sigma is not a permutation of 0..n-1")
-    points = tuple(pair_point(n, i, sigma[i]) for i in range(n))
-    weights = tuple(Fraction(1, n) for _ in range(n))
-    comb = ConvexCombination(points, weights)
-    if comb.value() != barycenter(n):
-        raise RuntimeError("matching witness does not average to the barycenter")
-    return comb
 
 
 def permutation_sign(sigma: Sequence[int]) -> int:

@@ -7,18 +7,21 @@ membership LP separates from the others.  The LP minimality oracle never
 reads the pair graph: it asks the exact LP for the barycenter's weights
 and an exact rank for affine independence.  The LP minimal descent never
 merges weights in closed form: it solves the barycenter LP again after
-every point it drops.
+every point it drops.  The special-vertex reduction and the matching
+witness are the proof's constructions, kept here as references: no route
+of the package runs them.
 """
 
 from fractions import Fraction
 
-from newtoncert._linalg import matrix_rank
 from newtoncert.polytope import (
     ConvexCombination,
     LatticePolytope,
     Separation,
     barycenter,
     contains_point,
+    decode_pair,
+    is_minimal,
     lattice_points,
     pair_point,
 )
@@ -37,13 +40,30 @@ def lp_vertices(points, n, orthant_recession):
     return tuple(keep)
 
 
+def exact_rank(rows):
+    """Rank of a rational matrix by Fraction row reduction."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        for row in m[rank + 1:]:
+            f = row[col] / top[col]
+            row[:] = [a - f * b for a, b in zip(row, top)]
+        rank += 1
+    return rank
+
+
 def affinely_independent(points):
     """Whether the points are affinely independent, by an exact Fraction rank."""
     if len(points) <= 1:
         return True
     base = points[0]
     rows = [[c - b for c, b in zip(p, base)] for p in points[1:]]
-    return matrix_rank(rows) == len(points) - 1
+    return exact_rank(rows) == len(points) - 1
 
 
 def lp_is_minimal(M):
@@ -93,6 +113,50 @@ def lp_minimal_descent(M):
             pts = sorted(set(pts) - {drop} | {pair_point(n, a.index(2), b.index(2))})
         weights = weights_over(pts)
         assert weights is not None, "a descent step lost the barycenter"
+
+
+def is_special_vertex(M, v):
+    """Whether no other lattice point of M uses v's smaller index.
+
+    For v = e_i + e_j with i <= j this checks index i; for minimal
+    polytopes the two index choices agree.
+    """
+    v = tuple(v)
+    pts = lattice_points(M)
+    if v not in pts:
+        raise ValueError(f"{v} is not a lattice point of the polytope")
+    i, _ = decode_pair(v)
+    return all(p[i] == 0 for p in pts if p != v)
+
+
+def reduce_special(M, v):
+    """Remove a special vertex v of a minimal M and embed the rest in the
+    reduced simplex.
+
+    Returns the reduced polytope (coordinates i and j deleted; just i when
+    v = 2e_i) and the sorted dropped index set.  Nothing is re-checked:
+    the tests assert that the reduction is minimal again.
+    """
+    v = tuple(v)
+    if not is_minimal(M):
+        raise ValueError("polytope is not minimal")
+    if not is_special_vertex(M, v):
+        raise ValueError(f"{v} is not a special vertex")
+    i, j = decode_pair(v)
+    dropped = (i,) if i == j else (i, j)
+    keep = [c for c in range(M.n) if c not in dropped]
+    rest = tuple(tuple(p[c] for c in keep) for p in lattice_points(M) if p != v)
+    return LatticePolytope(len(keep), rest, False), dropped
+
+
+def witness_O_from_matching(sigma, n):
+    """The combination (1/n) * sum of the pair points e_i + e_sigma(i); the
+    tests substitute it to see that it gives the barycenter."""
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError("sigma is not a permutation of 0..n-1")
+    points = tuple(pair_point(n, i, sigma[i]) for i in range(n))
+    return ConvexCombination(points, (Fraction(1, n),) * n)
 
 
 def lower_chain(points):

@@ -53,6 +53,10 @@ def test_milnor_golden(capsys):
     code, out = _capture(capsys, ["milnor", "--n", "2", "--poly", "x1^3 + x2^3"])
     assert code == 0
     assert out == '{"mu":4,"conditional":true}\n'
+    # A1 with a non-convenient diagram: mu = 1 from the nonsingular Hessian
+    code, out = _capture(capsys, ["milnor", "--n", "2", "--poly", "x1*x2"])
+    assert code == 0
+    assert out == '{"mu":1,"conditional":true}\n'
 
 
 def test_milnor_infinite(capsys):
@@ -407,7 +411,13 @@ def test_request_loads_only_its_subcommand_modules():
         loaded = _package_modules(_request_modules(REQUESTS[command], 0))
         assert not {"kouchnirenko", "morse", "lp", "poly", "gaussian", "_linalg"} & loaded, \
             (command, loaded)
-    for command in ("newton", "milnor", "face"):
+    morse_milnor = ["milnor", "--n", "2", "--poly", "x1*x2 + x1^3"]  # mu 1 from the Hessian
+    for argv in (REQUESTS["newton"], REQUESTS["milnor"], REQUESTS["face"], morse_milnor):
+        loaded = _package_modules(_request_modules(argv, 0))
+        assert not {"stencil", "morse"} & loaded, (argv, loaded)
+    for command in ("minimal", "contains-o"):
         loaded = _package_modules(_request_modules(REQUESTS[command], 0))
-        assert not {"stencil", "morse"} & loaded, (command, loaded)
+        assert not {"poly", "kouchnirenko", "morse", "stencil"} & loaded, (command, loaded)
+    loaded = _package_modules(_request_modules(REQUESTS["morse"], 0))
+    assert not {"kouchnirenko", "lp"} & loaded, loaded
     assert _package_modules(_request_modules(USAGE_ERROR, 2)) <= {"cli"}

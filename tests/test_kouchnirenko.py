@@ -4,12 +4,14 @@ import itertools
 import json
 import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from newtoncert import lp, polytope
+from newtoncert import cli, lp, polytope
 from newtoncert.kouchnirenko import (
     INFINITE,
     UnboundedRegionError,
@@ -19,6 +21,7 @@ from newtoncert.kouchnirenko import (
     under_diagram_region,
     volumes,
 )
+from newtoncert.morse import is_morse
 from newtoncert.poly import SparsePolynomial, parse_polynomial
 from newtoncert.polytope import LatticePolytope, newton_polyhedron, reduce_to_vertices
 from oracles import lp_vertices
@@ -97,7 +100,67 @@ def test_milnor_examples():
 
 def test_milnor_infinite():
     assert milnor_number(parse_polynomial("x1^2 + x1^2*x2", 2)) == INFINITE
-    assert milnor_number(parse_polynomial("x1*x2", 2)) == INFINITE
+    # A1 with a non-convenient diagram: the Hessian [[0, 1], [1, 0]] is nonsingular
+    assert milnor_number(parse_polynomial("x1*x2", 2)) == 1
+
+
+def test_milnor_morse_from_the_hessian():
+    """A nonsingular Hessian gives mu = 1 (the Morse lemma), complex
+    coefficients and non-convenient diagrams included."""
+    f = parse_polynomial("(1+2i)*x1^2 + (3-1i)*x1*x2 + x1*x2^2", 2)
+    assert is_morse(f)
+    assert milnor_number(f) == 1
+
+
+def test_milnor_sum_of_squares_is_fast():
+    """The sum of squares answers from its Hessian, without the 2^n faces of
+    the diagram simplex."""
+    for n in range(1, 21):
+        f = parse_polynomial(" + ".join(f"x{k}^2" for k in range(1, n + 1)), n)
+        start = time.perf_counter()
+        assert milnor_number(f) == 1
+        assert time.perf_counter() - start < 0.1, n
+
+
+@pytest.mark.parametrize("poly", [
+    "x1^2 - 2*x1*x2 + x2^2 + x1^3",
+    "2*x2^2 + 8*x1*x2 + 8*x1^2 + 8*x1^2*x2^3 + 5*x1^2*x2^4 + 2*x1^4*x2^4",
+])
+def test_milnor_degenerate_diagram_is_an_error(poly, capsys):
+    """The diagram gives 1, but the Hessian is singular, so mu >= 2."""
+    f = parse_polynomial(poly, 2)
+    assert not is_morse(f)
+    with pytest.raises(ValueError, match="degenerate"):
+        milnor_number(f)
+    assert cli.run(["milnor", "--n", "2", "--poly", poly]) == 1
+    assert "degenerate" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_milnor_one_exactly_at_morse_points():
+    """Seeded, n = 1..4: wherever milnor answers, mu = 1 exactly when the
+    Hessian at the origin is nonsingular."""
+    rng = random.Random(1616)
+    box = {n: [e for e in itertools.product(range(4), repeat=n) if 2 <= sum(e) <= 4]
+           for n in range(1, 5)}
+    answers = Counter()
+    for n in range(1, 5):
+        for _ in range(100):
+            picked = rng.sample(box[n], rng.randint(1, min(6, len(box[n]))))
+            terms = {e: rng.randint(-9, 9) or 1 for e in picked}
+            if rng.random() < 0.5:
+                terms.update({tuple(rng.randint(2, 4) * (k == a) for k in range(n)): 1
+                              for a in range(n)})
+            f = SparsePolynomial(n, terms)
+            try:
+                mu = milnor_number(f)
+            except ValueError as exc:
+                assert "degenerate" in str(exc) and not is_morse(f), terms
+                answers["degenerate"] += 1
+                continue
+            assert (mu == 1) == is_morse(f), (terms, mu)
+            answers[mu == 1, mu == INFINITE] += 1
+    assert answers[True, False] >= 20 and answers[False, False] >= 20, answers
+    assert answers[False, True] >= 20, answers
 
 
 def test_milnor_rejects_constant_linear():
@@ -240,11 +303,11 @@ def test_milnor_solves_no_lp(monkeypatch):
             assert milnor_number(f) >= 1
     for row in MILNOR_TABLE[::5]:
         assert milnor_number(parse_polynomial(row["poly"], row["n"])) == row["mu"]
-    assert milnor_number(parse_polynomial("x1^2 + x1*x2", 2)) == INFINITE
+    assert milnor_number(parse_polynomial("x1^2 + x1*x2", 2)) == 1  # Hessian det -1
 
 
 def test_milnor_detects_a_dropped_simplex(capsys, monkeypatch):
-    from newtoncert import cli, kouchnirenko
+    from newtoncert import kouchnirenko
 
     for row in MILNOR_TABLE[::8]:
         f = parse_polynomial(row["poly"], row["n"])

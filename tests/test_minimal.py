@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from oracles import lp_is_minimal, lp_minimal_descent
+from oracles import is_special_vertex, lp_is_minimal, lp_minimal_descent, reduce_special
 
 from newtoncert import _linalg, lp, polytope
 from newtoncert.polytope import (
@@ -13,11 +13,9 @@ from newtoncert.polytope import (
     barycenter,
     contains_point,
     is_minimal,
-    is_special_vertex,
     lattice_points,
     minimal_subpolytope,
     pair_point,
-    reduce_special,
     two_delta_points,
 )
 from newtoncert.stencil import certify, certify_via_minimal
@@ -205,8 +203,8 @@ def _random_minimal(n, rng):
 
 def test_is_minimal_and_reduce_special_solve_no_lp(monkeypatch):
     """On minimal polytopes up to n = 8, is_minimal, the permutation read
-    off the pair graph and the special-vertex reduction run no LP and no
-    rank."""
+    off the pair graph and the special-vertex reduction (the oracle copy,
+    on is_minimal and lattice_points) run no LP and no rank."""
 
     def forbidden(*args):
         raise AssertionError("minimality left the pair graph")
@@ -214,7 +212,7 @@ def test_is_minimal_and_reduce_special_solve_no_lp(monkeypatch):
     rng = random.Random(1313)
     cases = [_random_minimal(n, rng) for n in range(1, 9) for _ in range(12)]
     monkeypatch.setattr(lp, "solve_eq_nonneg", forbidden)
-    monkeypatch.setattr(_linalg, "matrix_rank", forbidden)
+    monkeypatch.setattr(_linalg, "_echelon", forbidden)
     reduced = 0
     for M in cases:
         assert is_minimal(M), M.generators

@@ -22,13 +22,11 @@ EXPORTS = {
     "poly": ("ParseError", "QuadraticForm", "SparsePolynomial", "determinant",
              "hessian_at_zero", "monomial", "parse_polynomial", "quadratic_part"),
     "polytope": ("ConvexCombination", "LatticePolytope", "Separation", "barycenter",
-                 "contains_point", "is_minimal", "is_special_vertex", "lattice_points",
-                 "minimal_subpolytope", "newton_polyhedron", "newton_polytope", "pair_point",
-                 "reduce_special", "two_delta_points"),
+                 "contains_point", "is_minimal", "lattice_points", "minimal_subpolytope",
+                 "newton_polyhedron", "newton_polytope", "pair_point", "two_delta_points"),
     "stencil": ("Certificate", "CoverCertificate", "HalfSpace", "MatchingCertificate", "Stencil",
                 "certify", "certify_via_minimal", "find_matching", "min_vertex_cover",
-                "sample_generic_form", "separating_halfspace", "sign_consistency", "stencil_of",
-                "witness_O_from_matching"),
+                "sample_generic_form", "separating_halfspace", "sign_consistency", "stencil_of"),
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import witness_O_from_matching
 
 from newtoncert import lp, polytope, stencil
 from newtoncert.gaussian import GaussianRational
@@ -37,7 +38,6 @@ from newtoncert.stencil import (
     separating_halfspace,
     sign_consistency,
     stencil_of,
-    witness_O_from_matching,
 )
 
 
@@ -289,16 +289,34 @@ def test_certify_via_minimal_walks_odd_cycles():
 
 
 def test_witness_from_matching():
+    """The paper's claim behind certify's index count, by Fraction
+    substitution: every permutation's pair points average to the barycenter,
+    and certify's sigma gives pair points of M."""
     comb = witness_O_from_matching((1, 0), 2)
     assert comb.points == ((1, 1), (1, 1))
     assert comb.value() == (Fraction(1), Fraction(1))
 
     comb2 = witness_O_from_matching((0, 1, 2), 3)
     assert comb2.points == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-    assert comb2.value() == barycenter(3)
 
-    comb3 = witness_O_from_matching((1, 2, 0), 3)
-    assert comb3.value() == barycenter(3)
+    for n in range(1, 6):
+        for sigma in itertools.permutations(range(n)):
+            assert witness_O_from_matching(sigma, n).value() == barycenter(n)
+    with pytest.raises(ValueError, match="permutation"):
+        witness_O_from_matching((0, 0), 2)
+    rng = random.Random(1616)
+    matchings = 0
+    for n in range(2, 9):
+        pts = two_delta_points(n)
+        for _ in range(20):
+            M = LatticePolytope(n, tuple(rng.sample(pts, rng.randint(1, len(pts)))))
+            cert = certify(M)
+            if cert.kind == "matching":
+                comb = witness_O_from_matching(cert.sigma, n)
+                assert comb.value() == barycenter(n)
+                assert set(comb.points) <= set(lattice_points(M))
+                matchings += 1
+    assert matchings >= 20
 
 
 # -- sign consistency ---------------------------------------------------------------
@@ -463,8 +481,8 @@ def test_certify_and_classify_solve_no_lp(monkeypatch):
     for module, name in (
         (polytope, "two_delta_points"),
         (polytope, "contains_point"),
-        (stencil, "witness_O_from_matching"),
-        (stencil, "barycenter"),
+        (polytope, "ConvexCombination"),
+        (polytope, "barycenter"),
         (lp, "solve_eq_nonneg"),
     ):
         monkeypatch.setattr(module, name, forbidden)
