@@ -85,7 +85,9 @@ def classify_support(M: LatticePolytope) -> MorseVerdict:
 
 
 def is_morse(f: SparsePolynomial) -> bool:
-    """Nondegeneracy of the Hessian at the origin (exact determinant)."""
+    """Nondegeneracy of the Hessian at the origin (exact determinant).
+    Raises ValueError on a constant or linear term."""
+    _require_singular(f._terms)
     return bool(determinant(hessian_at_zero(f)))
 
 

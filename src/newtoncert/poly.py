@@ -314,7 +314,7 @@ class QuadraticForm(Record):
             raise ValueError("matrix must be n x n")
         for i in range(n):
             for j in range(i):
-                if rows[i][j] != rows[j][i]:
+                if rows[i][j] is not rows[j][i] and rows[i][j] != rows[j][i]:
                     raise ValueError(f"matrix not symmetric at ({i}, {j})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
@@ -367,9 +367,24 @@ def quadratic_part(f: SparsePolynomial) -> QuadraticForm:
 
 
 def hessian_at_zero(f: SparsePolynomial) -> QuadraticForm:
-    """The Hessian matrix of f at the origin (equals 2 * quadratic_part)."""
-    B = quadratic_part(f)
-    return QuadraticForm(B.n, tuple(tuple(v + v for v in row) for row in B.rows))
+    """The Hessian matrix of f at the origin (equals 2 * quadratic_part).
+
+    Filled in one pass over the degree-2 terms: 2c on the diagonal for
+    c x_i^2 and c at (i, j) and (j, i) for c x_i x_j.  Lower-degree terms
+    are not checked here; milnor_number and is_morse reject them first.
+    """
+    n = f.n_vars
+    rows = [[GR_ZERO] * n for _ in range(n)]
+    for exp, c in f._terms.items():
+        if sum(exp) != 2:
+            continue
+        idx = [i for i, e in enumerate(exp) if e]
+        if len(idx) == 1:
+            rows[idx[0]][idx[0]] = c + c
+        else:
+            i, j = idx
+            rows[i][j] = rows[j][i] = c
+    return QuadraticForm(n, tuple(map(tuple, rows)))
 
 
 def integer_determinant(rows: Iterable[Iterable[int]]) -> int:

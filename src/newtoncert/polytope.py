@@ -6,7 +6,9 @@ Newton diagrams of kouchnirenko, come from one exact integer hull, _hull:
 beneath-beyond with primitive integer facet normals, where each new
 facet's normal is one integer combination of the normals of the two
 facets at its horizon ridge, and cofactors are taken for the start
-simplex only.
+simplex only.  The hull keys its faces and ridges by generator index
+(each generator's rank in sorted order) and, with the orthant, inserts
+the pure powers before the mixed points.
 Membership of a general point runs an exact rational LP and returns a
 checkable witness: a convex combination or a separating functional; a
 minimal sub-polytope takes one such LP and merges in closed form.
@@ -244,42 +246,55 @@ def _hull(points, orthant=False):
     over the rays (0, *e_k) when orthant is set, by beneath-beyond.
 
     The first n + 1 generators, rays first, must be linearly independent;
-    the later points are inserted in order.  A facet is visible from a
-    point beyond it or in its plane, and a point beyond no facet is
-    skipped, so the points left on the boundary are exactly the vertices.
-    The face made of rays only lies at infinity and is never stored.  Maps
-    each facet (a sorted n-tuple of generators) to its primitive inner
-    normal (-c, *w): <w, s> >= c on the hull.  Only the start simplex
-    takes cofactors (_normal); a new facet through a horizon ridge and the
-    point g is the ridge's visible facet V rotated about the ridge onto g,
-    so its normal <h_K, g> h_V - <h_V, g> h_K comes from V and the kept
-    facet K on the ridge (gift-wrapping's rotation, Chand & Kapur 1970).
+    the later points are inserted in order.  With the orthant, a stable sort
+    first puts the pure powers (sum(s) == max(s)) ahead of the mixed
+    points: the least power on an axis is a vertex, and once the intercepts
+    are in, a point on or above their facets costs one distance pass.  A
+    facet is visible from a point beyond it or in its plane, and a point
+    beyond no facet is skipped, so the points left on the boundary are
+    exactly the vertices.  The face made of rays only lies at infinity and
+    is never stored.  Maps each facet (a sorted n-tuple of generators) to
+    its primitive inner normal (-c, *w): <w, s> >= c on the hull.
+
+    Faces and ridges are keyed by generator labels, each generator's rank in
+    sorted order, so a sorted label tuple stands for a sorted generator
+    tuple and hashes in O(n); the coordinate keys are built once, at the
+    end.  Only the start simplex takes cofactors (_normal); a new facet
+    through a horizon ridge and the point g is the ridge's visible facet V
+    rotated about the ridge onto g, so its normal
+    <h_K, g> h_V - <h_V, g> h_K comes from V and the kept facet K on the
+    ridge (gift-wrapping's rotation, Chand & Kapur 1970).
     """
     n = len(points[0])
-    gens = [(0,) + tuple(int(k == axis) for k in range(n)) for axis in range(n) if orthant]
-    gens += [(1,) + tuple(p) for p in points]
-    inner = [sum(col) for col in zip(*gens[: n + 1])]  # an interior ray of the cone
+    if orthant:
+        points = sorted(points, key=lambda p: sum(p) != max(p))
+    order = [(0,) + tuple(int(k == axis) for k in range(n)) for axis in range(n) if orthant]
+    order += [(1,) + tuple(p) for p in points]
+    gens = sorted(order)  # gens[label]
+    label = {g: i for i, g in enumerate(gens)}
+    inner = [sum(col) for col in zip(*order[: n + 1])]  # an interior ray of the cone
     at_infinity = (1,) + (0,) * n  # normal of the face made of rays only
     facets = {}
-    ridges = {}  # sorted (n - 1)-tuple of generators -> the stored facets holding it
+    ridges = {}  # sorted (n - 1)-tuple of labels -> the stored facets holding it
 
     def add(face, h):
         if sum(map(mul, h, inner)) <= 0:
-            raise RuntimeError(f"degenerate hull facet {face}")
+            raise RuntimeError(f"degenerate hull facet {tuple(gens[i] for i in face)}")
         k = gcd(*h)
         facets[face] = tuple(v // k for v in h)
         for ridge in combinations(face, n - 1):
             ridges.setdefault(ridge, []).append(face)
 
-    for face in combinations(sorted(gens[: n + 1]), n):
-        if face[-1][0]:  # rays sort first: a point is present
-            h = _normal(face)
+    for face in combinations(sorted(label[g] for g in order[: n + 1]), n):
+        if gens[face[-1]][0]:  # rays sort first: a point is present
+            h = _normal([gens[i] for i in face])
             add(face, h if sum(map(mul, h, inner)) >= 0 else tuple(-v for v in h))
-    for g in gens[n + 1:]:
+    for g in order[n + 1:]:
         dist = {face: sum(map(mul, h, g)) for face, h in facets.items()}
         if all(d >= 0 for d in dist.values()):
             continue
         visible = [face for face, d in dist.items() if d <= 0]
+        i = label[g]
         new = []
         for face in visible:
             h_v, d_v = facets[face], dist[face]
@@ -287,7 +302,7 @@ def _hull(points, orthant=False):
                 kept = [f for f in ridges[ridge] if f != face]
                 h_k, d_k = (facets[kept[0]], dist[kept[0]]) if kept else (at_infinity, 1)
                 if d_k > 0:  # a horizon ridge
-                    new.append((tuple(sorted(ridge + (g,))),
+                    new.append((tuple(sorted(ridge + (i,))),
                                 [d_k * a - d_v * b for a, b in zip(h_v, h_k)]))
         for face in visible:
             del facets[face]
@@ -295,7 +310,7 @@ def _hull(points, orthant=False):
                 ridges[ridge].remove(face)
         for face, h in new:
             add(face, h)
-    return facets
+    return {tuple(gens[i] for i in face): h for face, h in facets.items()}
 
 
 def _hull_vertices(facets) -> Tuple[Point, ...]:
@@ -310,10 +325,11 @@ def reduce_to_vertices(
     A plain support may be lower-dimensional (a quadratic form's lies in
     sum(x) = 2), so it is projected onto the pivot coordinates of its
     differences, injective on its affine hull; the pivot differences pick
-    the affinely independent points that start the hull.  Only a single
-    point is answered directly: a collinear support projects to one
-    coordinate, where _hull keeps the two ends.  Raises
-    ValueError naming the first point that does not have n coordinates.
+    the affinely independent points that start the hull, and the rest
+    follow in sorted order.  Only a single point is answered directly: a
+    collinear support projects to one coordinate, where _hull keeps the two
+    ends.  Raises ValueError naming the first point that does not have n
+    coordinates.
     """
     for p in points:
         if len(p) != n:

@@ -157,8 +157,15 @@ def test_hessian_examples():
     assert determinant(h3) == gr(-1)
 
 
-def test_hessian_is_twice_quadratic_part_random():
+def test_hessian_is_twice_quadratic_part_random(monkeypatch):
+    """The Hessian is filled from the degree-2 terms in one pass, without
+    quadratic_part, and equals its double on seeded forms with complex and
+    fractional coefficients plus higher terms, sparse (n = 1..4) and dense
+    (n = 1..8)."""
+    from newtoncert import poly
+
     rng = random.Random(99)
+    cases = []
     for _ in range(100):
         n = rng.randint(1, 4)
         terms = {}
@@ -167,13 +174,25 @@ def test_hessian_is_twice_quadratic_part_random():
             if sum(exp) < 2:
                 continue
             terms[exp] = gr(rng.randint(-5, 5), rng.randint(-5, 5))
-        f = SparsePolynomial(n, terms)
+        cases.append(SparsePolynomial(n, terms))
+    for n in range(1, 9):
+        for _ in range(8):
+            terms = {tuple((k == i) + (k == j) for k in range(n)):
+                     gr(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3))
+                     for i in range(n) for j in range(i, n) if rng.random() < 0.7}
+            terms[tuple(rng.randint(0, 3) for _ in range(n - 1)) + (3,)] = gr(1, 1)
+            cases.append(SparsePolynomial(n, terms))
+    parts = [quadratic_part(f) for f in cases]
+
+    def no_quadratic_part(f):
+        raise AssertionError("quadratic_part called")
+
+    monkeypatch.setattr(poly, "quadratic_part", no_quadratic_part)
+    two = gr(2)
+    for f, b in zip(cases, parts):
         h = hessian_at_zero(f)
-        b = quadratic_part(f)
-        two = gr(2)
-        assert all(
-            h.rows[i][j] == two * b.rows[i][j] for i in range(n) for j in range(n)
-        )
+        n = f.n_vars
+        assert h == QuadraticForm(n, tuple(tuple(two * v for v in row) for row in b.rows))
         assert determinant(h) == gr(2**n) * determinant(b)
         assert bool(determinant(h)) == bool(determinant(b))
 

@@ -3,15 +3,18 @@
 import itertools
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from fm_oracle import fm_contains
-from oracles import affinely_independent
+from oracles import affinely_independent, lp_vertices
 from newtoncert import polytope
+from newtoncert.kouchnirenko import milnor_number
 from newtoncert.morse import quadratic_restriction
-from newtoncert.poly import monomial, parse_polynomial
+from newtoncert.poly import SparsePolynomial, integer_determinant, monomial, parse_polynomial
 from newtoncert.polytope import (
     ConvexCombination,
     LatticePolytope,
@@ -158,6 +161,71 @@ def test_hull_takes_cofactors_for_the_start_simplex_only(monkeypatch):
             facets = polytope._hull(sorted(support), orthant=True)
             assert len(facets) > n + 1
             assert 1 <= len(calls) <= n + 1, (n, len(calls), len(facets))
+
+
+def _compact_volume(facets):
+    """n! times the volume under the compact facets (strictly positive w)."""
+    return sum(abs(integer_determinant([g[1:] for g in face]))
+               for face, h in facets.items() if min(h[1:]) > 0)
+
+
+def test_hull_is_invariant_under_point_order(monkeypatch):
+    """Seeded convenient and non-convenient orthant supports, n = 1..6, in
+    shuffled order give facets keyed by sorted generator tuples, the same
+    vertices (the LP oracle's), the same volume under the compact facets
+    and the same Milnor number; only the triangulation of a non-simplicial
+    compact facet may change."""
+    from newtoncert import kouchnirenko
+
+    def mu_of(f):
+        try:
+            return milnor_number(f)
+        except ValueError as exc:  # a diagram giving 1 at a singular Hessian
+            return str(exc)
+
+    rng = random.Random(911)
+    hull = polytope._hull
+    for n in range(1, 7):
+        for case in range(16):
+            support = {tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 14))}
+            support = {p for p in support if sum(p) >= 2}
+            if case % 2 == 0:  # convenient: a pure power on every axis
+                support |= {tuple(rng.randint(2, 6) * (k == a) for k in range(n)) for a in range(n)}
+            if not support:
+                continue
+            pts = sorted(support)
+            facets = hull(pts, orthant=True)
+            vertices = polytope._hull_vertices(facets)
+            assert vertices == lp_vertices(pts, n, True)
+            f = SparsePolynomial(n, {p: rng.randint(1, 9) for p in pts})
+            mu = mu_of(f)
+            for _ in range(3):
+                shuffled = hull(rng.sample(pts, len(pts)), orthant=True)
+                assert all(list(face) == sorted(face) for face in shuffled)
+                assert polytope._hull_vertices(shuffled) == vertices
+                assert _compact_volume(shuffled) == _compact_volume(facets)
+            with monkeypatch.context() as m:
+                m.setattr(kouchnirenko, "_hull",
+                          lambda gens, orthant: hull(rng.sample(gens, len(gens)), orthant))
+                assert mu_of(f) == mu, pts
+
+
+def test_degenerate_hull_facet_names_coordinates():
+    """Collinear start points leave a facet with no interior side; the error
+    names the facet by its generators, not by their labels."""
+    with pytest.raises(RuntimeError,
+                       match=re.escape("degenerate hull facet ((1, 0, 0), (1, 1, 1))")):
+        polytope._hull([(0, 0), (1, 1), (2, 2), (0, 3)])
+
+
+def test_hull_sum_of_squares_n24_is_fast():
+    """The orthant hull of the sum of squares at n = 24, 553 facets of which
+    one is compact, is bounded in time."""
+    n = 24
+    squares = [tuple(2 * (k == a) for k in range(n)) for a in range(n)]
+    start = time.perf_counter()
+    assert reduce_to_vertices(squares, n, True) == tuple(sorted(squares))
+    assert time.perf_counter() - start < 1.5
 
 
 # -- barycenter ---------------------------------------------------------------
