@@ -5,8 +5,9 @@ of the orthant minus the Newton polyhedron N) is star-shaped from the
 origin, so its volume is the sum of the cones from the origin over a
 triangulation of the compact facets of N.  Those come from the exact
 integer hull of polytope._hull, run on the generators of N and the orthant
-rays: its facets with strictly positive normal are exactly the compact
-facets of N, triangulated, and its boundary points are the vertices of N.
+rays: it leaves the coordinate facets and the face at infinity implicit,
+so on a convenient N the facets it stores are exactly the compact facets
+of N, triangulated, and the points on them are the vertices of N.
 
 For a convenient N each N cap R^I is a face of N, so the diagram of every
 coordinate subspace is triangulated by the faces of those simplices lying
@@ -90,11 +91,8 @@ def under_diagram_region(N: LatticePolytope) -> UnderDiagramRegion:
                                    "some axis carries no pure power")
     facets = _hull(N.generators, orthant=True)
     origin = (0,) * n
-    simplices = tuple(
-        (origin,) + tuple(g[1:] for g in face)
-        for face, h in facets.items() if min(h[1:]) > 0
-    )
-    return UnderDiagramRegion(n, _hull_vertices(facets), intercepts, simplices)
+    simplices = tuple((origin,) + tuple(g[1:] for g in face) for face in facets)
+    return UnderDiagramRegion(n, _hull_vertices(facets, n), intercepts, simplices)
 
 
 def volumes(region: UnderDiagramRegion) -> VolumeVector:

@@ -3,12 +3,13 @@
 A LatticePolytope is a generator point set, optionally Minkowski-summed
 with the nonnegative orthant (orthant_recession).  Its vertices, and the
 Newton diagrams of kouchnirenko, come from one exact integer hull, _hull:
-beneath-beyond with primitive integer facet normals, where each new
-facet's normal is one integer combination of the normals of the two
-facets at its horizon ridge, and cofactors are taken for the start
-simplex only.  The hull keys its faces and ridges by generator index
-(each generator's rank in sorted order) and, with the orthant, inserts
-the pure powers before the mixed points.
+beneath-beyond with primitive integer facet normals, keyed by generator
+index, where each new facet's normal is one integer combination of the
+normals of the two facets at its horizon ridge.  With the orthant the
+hull stores only the facets of N = conv(S) + R^n_+ off the coordinate
+hyperplanes (all compact when every axis carries a pure power) and keeps
+the coordinate facets and the face at infinity implicit; its start is in
+closed form, and cofactors are taken for the plain start simplex only.
 Membership of a general point runs an exact rational LP and returns a
 checkable witness: a convex combination or a separating functional; a
 minimal sub-polytope takes one such LP and merges in closed form.
@@ -226,44 +227,39 @@ def contains_point(M: LatticePolytope, q: Sequence) -> MembershipResult:
 
 
 def _normal(face):
-    """Normal (-c, *w) of the cone's hyperplane <w, x> = c through a face:
-    w_k = 0 for each ray e_k of the face, the rest are the signed minors of
-    its points' differences from its last point (rays sort first)."""
+    """Normal (-c, *w) of the hyperplane <w, x> = c through the n points
+    (1, *s) of a face: the signed minors of their differences from the last."""
     from .poly import integer_determinant
 
     base = face[-1][1:]
-    axes = {g.index(1) - 1 for g in face if not g[0]}
-    cols = [k for k in range(len(base)) if k not in axes]
-    rows = [[g[k + 1] - base[k] for k in cols] for g in face[:-1] if g[0]]
-    w = [0] * len(base)
-    for j, k in enumerate(cols):
-        w[k] = (-1) ** j * integer_determinant([r[:j] + r[j + 1:] for r in rows])
-    return (-sum(a * b for a, b in zip(w, base)),) + tuple(w)
+    rows = [[a - b for a, b in zip(g[1:], base)] for g in face[:-1]]
+    w = [(-1) ** j * integer_determinant([r[:j] + r[j + 1:] for r in rows])
+         for j in range(len(base))]
+    return (-sum(map(mul, w, base)),) + tuple(w)
 
 
 def _hull(points, orthant=False):
     """Triangulated boundary of the cone over (1, *s) for the points s, and
     over the rays (0, *e_k) when orthant is set, by beneath-beyond.
 
-    The first n + 1 generators, rays first, must be linearly independent;
-    the later points are inserted in order.  With the orthant, a stable sort
-    first puts the pure powers (sum(s) == max(s)) ahead of the mixed
-    points: the least power on an axis is a vertex, and once the intercepts
-    are in, a point on or above their facets costs one distance pass.  A
-    facet is visible from a point beyond it or in its plane, and a point
-    beyond no facet is skipped, so the points left on the boundary are
-    exactly the vertices.  The face made of rays only lies at infinity and
-    is never stored.  Maps each facet (a sorted n-tuple of generators) to
-    its primitive inner normal (-c, *w): <w, s> >= c on the hull.
+    Maps each stored facet (a sorted n-tuple of generators) to its primitive
+    inner normal (-c, *w): <w, s> >= c on the hull.  A facet is visible from
+    a point beyond it or in its plane, and a point beyond no facet is
+    skipped, so the points left on the boundary are exactly the vertices.
+    Faces and ridges are keyed by labels, ranks in sorted order (rays
+    first).  A new facet through a horizon ridge and the point g is the
+    facet V there rotated onto g: its normal <h_K, g> h_V - <h_V, g> h_K
+    comes from V and the facet K across the ridge (Chand & Kapur 1970).
 
-    Faces and ridges are keyed by generator labels, each generator's rank in
-    sorted order, so a sorted label tuple stands for a sorted generator
-    tuple and hashes in O(n); the coordinate keys are built once, at the
-    end.  Only the start simplex takes cofactors (_normal); a new facet
-    through a horizon ridge and the point g is the ridge's visible facet V
-    rotated about the ridge onto g, so its normal
-    <h_K, g> h_V - <h_V, g> h_K comes from V and the kept facet K on the
-    ridge (gift-wrapping's rotation, Chand & Kapur 1970).
+    Without the orthant the first n + 1 points, affinely independent, start
+    the hull by cofactors (_normal).  With it the pure powers
+    (sum(s) == max(s)) go first, and no facet with c = 0 is stored (w >= 0
+    puts it inside one coordinate hyperplane x_j = 0), nor the face at
+    infinity: on a convenient support every stored facet is compact.  The
+    start, the rays and the first point p, has the facets x_j >= p_j with
+    p_j > 0.  A ridge held by one stored facet borders the face at infinity
+    (normal (1, 0, ..., 0)) when it holds no point, else the facet x_j = 0
+    (normal e_j) of the one j on which all its generators vanish.
     """
     n = len(points[0])
     if orthant:
@@ -272,21 +268,38 @@ def _hull(points, orthant=False):
     order += [(1,) + tuple(p) for p in points]
     gens = sorted(order)  # gens[label]
     label = {g: i for i, g in enumerate(gens)}
+    support = [{k for k, v in enumerate(g) if v} for g in gens]
     inner = [sum(col) for col in zip(*order[: n + 1])]  # an interior ray of the cone
-    at_infinity = (1,) + (0,) * n  # normal of the face made of rays only
     facets = {}
     ridges = {}  # sorted (n - 1)-tuple of labels -> the stored facets holding it
 
     def add(face, h):
         if sum(map(mul, h, inner)) <= 0:
             raise RuntimeError(f"degenerate hull facet {tuple(gens[i] for i in face)}")
+        if orthant and not h[0]:  # inside a coordinate hyperplane
+            return
         k = gcd(*h)
         facets[face] = tuple(v // k for v in h)
         for ridge in combinations(face, n - 1):
             ridges.setdefault(ridge, []).append(face)
 
-    for face in combinations(sorted(label[g] for g in order[: n + 1]), n):
-        if gens[face[-1]][0]:  # rays sort first: a point is present
+    def beyond(ridge):
+        """Normal of the unstored facet across a ridge held by one stored facet."""
+        if not ridge or not gens[ridge[-1]][0]:  # rays sort first: no point
+            return (1,) + (0,) * n
+        axes = set(range(1, n + 1)).difference(*map(support.__getitem__, ridge))
+        if len(axes) != 1:
+            raise RuntimeError(f"hull ridge {tuple(gens[i] for i in ridge)} "
+                               "lies in no single coordinate hyperplane")
+        return order[axes.pop() - 1]
+
+    start = sorted(label[g] for g in order[: n + 1])
+    if orthant:
+        p = order[n]
+        for j, ray in enumerate(order[:n]):  # add drops x_j >= 0
+            add(tuple(i for i in start if gens[i] != ray), (-p[j + 1],) + ray[1:])
+    else:
+        for face in combinations(start, n):
             h = _normal([gens[i] for i in face])
             add(face, h if sum(map(mul, h, inner)) >= 0 else tuple(-v for v in h))
     for g in order[n + 1:]:
@@ -300,7 +313,8 @@ def _hull(points, orthant=False):
             h_v, d_v = facets[face], dist[face]
             for ridge in combinations(face, n - 1):
                 kept = [f for f in ridges[ridge] if f != face]
-                h_k, d_k = (facets[kept[0]], dist[kept[0]]) if kept else (at_infinity, 1)
+                h_k = facets[kept[0]] if kept else beyond(ridge)
+                d_k = dist[kept[0]] if kept else sum(map(mul, h_k, g))
                 if d_k > 0:  # a horizon ridge
                     new.append((tuple(sorted(ridge + (i,))),
                                 [d_k * a - d_v * b for a, b in zip(h_v, h_k)]))
@@ -313,8 +327,9 @@ def _hull(points, orthant=False):
     return {tuple(gens[i] for i in face): h for face, h in facets.items()}
 
 
-def _hull_vertices(facets) -> Tuple[Point, ...]:
-    return tuple(sorted({g[1:] for face in facets for g in face if g[0]}))
+def _hull_vertices(facets, n) -> Tuple[Point, ...]:
+    """Points on the stored facets; none are stored only for N = R^n_+."""
+    return tuple(sorted({g[1:] for face in facets for g in face if g[0]})) or ((0,) * n,)
 
 
 def reduce_to_vertices(
@@ -338,14 +353,14 @@ def reduce_to_vertices(
     if len(pts) <= 1:
         return tuple(pts)
     if orthant_recession:
-        return _hull_vertices(_hull(pts, orthant=True))
+        return _hull_vertices(_hull(pts, orthant=True), n)
     from ._linalg import _echelon
 
     diffs = [[Fraction(c - b) for c, b in zip(p, pts[0])] for p in pts[1:]]
     cols = _echelon([row[:] for row in diffs])
     firsts = [pts[1 + i] for i in _echelon([list(col) for col in zip(*diffs)])]
     projected = {tuple(p[k] for k in cols): p for p in pts[:1] + firsts + pts[1:]}
-    return tuple(sorted(projected[q] for q in _hull_vertices(_hull(list(projected)))))
+    return tuple(sorted(projected[q] for q in _hull_vertices(_hull(list(projected)), len(cols))))
 
 
 def newton_polytope(p: SparsePolynomial) -> LatticePolytope:

@@ -3,7 +3,9 @@
 The grid oracle never triangulates: it rebuilds the diagram polyline with
 a plain monotone-chain pass and counts (1/m)-boxes column by column.  The
 LP vertex oracle never builds a hull: it keeps each point that the exact
-membership LP separates from the others.  The LP minimality oracle never
+membership LP separates from the others.  The cofactor normal never
+rotates: it takes a hull face's normal from minors, rays included, as the
+hull itself does only for its plain start.  The LP minimality oracle never
 reads the pair graph: it asks the exact LP for the barycenter's weights
 and an exact rank for affine independence.  The LP minimal descent never
 merges weights in closed form: it solves the barycenter LP again after
@@ -14,6 +16,7 @@ of the package runs them.
 
 from fractions import Fraction
 
+from newtoncert.poly import integer_determinant
 from newtoncert.polytope import (
     ConvexCombination,
     LatticePolytope,
@@ -38,6 +41,21 @@ def lp_vertices(points, n, orthant_recession):
         ):
             keep.append(p)
     return tuple(keep)
+
+
+def cofactor_normal(face):
+    """Normal (-c, *w) of the cone's hyperplane <w, x> = c through a hull
+    face of points (1, *s) and rays (0, *e_k): w_k = 0 for each ray, the
+    rest are the signed minors of the points' differences from the last
+    point (rays sort first).  Unoriented and not divided by its gcd."""
+    base = face[-1][1:]
+    axes = {g.index(1) - 1 for g in face if not g[0]}
+    cols = [k for k in range(len(base)) if k not in axes]
+    rows = [[g[k + 1] - base[k] for k in cols] for g in face[:-1] if g[0]]
+    w = [0] * len(base)
+    for j, k in enumerate(cols):
+        w[k] = (-1) ** j * integer_determinant([r[:j] + r[j + 1:] for r in rows])
+    return (-sum(a * b for a, b in zip(w, base)),) + tuple(w)
 
 
 def exact_rank(rows):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fm_oracle import fm_contains
-from oracles import affinely_independent, lp_vertices
+from oracles import affinely_independent, cofactor_normal, lp_vertices
 from newtoncert import polytope
 from newtoncert.kouchnirenko import milnor_number
 from newtoncert.morse import quadratic_restriction
@@ -122,8 +122,9 @@ def _dot(a, b):
 def test_hull_normals_are_primitive_supporting_and_match_cofactors():
     """Every stored normal of seeded plain and orthant hulls, n = 1..6, has
     gcd 1, vanishes on its face, is >= 0 on every generator and ray and
-    > 0 on the interior ray, and is the cofactor normal (_normal) oriented
-    by that ray and divided by its gcd."""
+    > 0 on the interior ray, and is the cofactor normal oriented by that ray
+    and divided by its gcd.  Only an orthant support holding the origin
+    stores no facet."""
     rng = random.Random(909)
     for n in range(1, 7):
         for orthant in (False, True):
@@ -132,18 +133,20 @@ def test_hull_normals_are_primitive_supporting_and_match_cofactors():
                 gens += [(1,) + p for p in pts]
                 inner = [sum(col) for col in zip(*gens[: n + 1])]
                 facets = polytope._hull(pts, orthant)
-                assert facets
+                assert facets or (orthant and (0,) * n in pts)
                 for face, h in facets.items():
                     assert math.gcd(*h) == 1
                     assert all(_dot(h, g) == 0 for g in face)
                     assert all(_dot(h, g) >= 0 for g in gens)
                     assert _dot(h, inner) > 0
-                    c = polytope._normal(face)
+                    c = cofactor_normal(face)
                     c = c if _dot(c, inner) > 0 else tuple(-v for v in c)
                     assert tuple(v // math.gcd(*c) for v in c) == h, face
 
 
 def test_hull_takes_cofactors_for_the_start_simplex_only(monkeypatch):
+    """A plain hull takes cofactors for its start simplex only; the orthant
+    start is in closed form, so an orthant hull takes none."""
     cofactor = polytope._normal
     calls = []
 
@@ -158,8 +161,12 @@ def test_hull_takes_cofactors_for_the_start_simplex_only(monkeypatch):
             support = {tuple(rng.randint(2, 6) if k == a else 0 for k in range(n)) for a in range(n)}
             support |= {tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(14)}
             del calls[:]
-            facets = polytope._hull(sorted(support), orthant=True)
-            assert len(facets) > n + 1
+            assert polytope._hull(sorted(support), orthant=True)
+            assert calls == []
+        for pts in _seeded_hull_inputs(rng, n, False, 6):
+            del calls[:]
+            facets = polytope._hull(pts)
+            assert len(facets) >= n + 1
             assert 1 <= len(calls) <= n + 1, (n, len(calls), len(facets))
 
 
@@ -195,14 +202,14 @@ def test_hull_is_invariant_under_point_order(monkeypatch):
                 continue
             pts = sorted(support)
             facets = hull(pts, orthant=True)
-            vertices = polytope._hull_vertices(facets)
+            vertices = polytope._hull_vertices(facets, n)
             assert vertices == lp_vertices(pts, n, True)
             f = SparsePolynomial(n, {p: rng.randint(1, 9) for p in pts})
             mu = mu_of(f)
             for _ in range(3):
                 shuffled = hull(rng.sample(pts, len(pts)), orthant=True)
                 assert all(list(face) == sorted(face) for face in shuffled)
-                assert polytope._hull_vertices(shuffled) == vertices
+                assert polytope._hull_vertices(shuffled, n) == vertices
                 assert _compact_volume(shuffled) == _compact_volume(facets)
             with monkeypatch.context() as m:
                 m.setattr(kouchnirenko, "_hull",
@@ -218,14 +225,69 @@ def test_degenerate_hull_facet_names_coordinates():
         polytope._hull([(0, 0), (1, 1), (2, 2), (0, 3)])
 
 
+def test_orthant_hull_stores_only_compact_facets():
+    """Seeded orthant supports, n = 1..6: on a convenient one every stored
+    facet is compact (c > 0 and w > 0), on any other no stored facet lies in
+    a coordinate hyperplane (c = 0); the vertices are the LP oracle's."""
+    rng = random.Random(912)
+    for n in range(1, 7):
+        for case in range(16):
+            support = {tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 14))}
+            support.discard((0,) * n)
+            convenient = case % 2 == 0
+            if convenient:
+                support |= {tuple(rng.randint(1, 6) * (k == a) for k in range(n)) for a in range(n)}
+            if not support:
+                continue
+            pts = sorted(support)
+            facets = polytope._hull(pts, orthant=True)
+            assert facets
+            for h in facets.values():
+                assert h[0] < 0
+                assert min(h[1:]) > 0 or not convenient
+            assert polytope._hull_vertices(facets, n) == lp_vertices(pts, n, True)
+
+
+def test_orthant_support_holding_the_origin_is_the_orthant():
+    """N = R^n_+ stores no facet, and its one vertex is still the origin,
+    wherever the origin comes in the insertion order."""
+    for n in (1, 2, 4):
+        origin = (0,) * n
+        pts = [tuple(3 * (k == a) for k in range(n)) for a in range(n)] + [(1,) * n, origin]
+        assert polytope._hull(pts, orthant=True) == {}
+        assert polytope._hull(pts[::-1], orthant=True) == {}
+        assert reduce_to_vertices(pts, n, True) == (origin,)
+        f = SparsePolynomial(n, {p: 1 for p in pts})
+        assert newton_polyhedron(f).generators == (origin,)
+
+
+def test_orthant_hull_n1_reaches_the_empty_ridge():
+    """At n = 1 the one ridge is empty; a larger power given first is
+    replaced across it by the smaller one."""
+    assert polytope._hull([(5,), (2,)], orthant=True) == {((1, 2),): (-2, 1)}
+    assert polytope._hull([(5,), (2,), (0,)], orthant=True) == {}
+    assert reduce_to_vertices([(5,), (2,), (7,)], 1, True) == ((2,),)
+
+
 def test_hull_sum_of_squares_n24_is_fast():
-    """The orthant hull of the sum of squares at n = 24, 553 facets of which
-    one is compact, is bounded in time."""
+    """The orthant hull of the sum of squares at n = 24, which stores one
+    facet (x_1 + ... + x_24 >= 2), is bounded in time."""
     n = 24
     squares = [tuple(2 * (k == a) for k in range(n)) for a in range(n)]
     start = time.perf_counter()
     assert reduce_to_vertices(squares, n, True) == tuple(sorted(squares))
     assert time.perf_counter() - start < 1.5
+
+
+def test_hull_path_polynomial_n16_is_fast():
+    """x1^3 + x1*x2 + ... + x15*x16 is not convenient: its orthant hull keeps
+    unbounded facets off the coordinate hyperplanes, and is bounded in time."""
+    n = 16
+    path = [(3,) + (0,) * (n - 1)] + [tuple(int(k in (a, a + 1)) for k in range(n))
+                                      for a in range(n - 1)]
+    start = time.perf_counter()
+    assert reduce_to_vertices(path, n, True) == tuple(sorted(path))
+    assert time.perf_counter() - start < 1.0
 
 
 # -- barycenter ---------------------------------------------------------------
