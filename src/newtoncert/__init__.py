@@ -22,11 +22,11 @@ _EXPORTS = {
     ), "kouchnirenko"),
     **dict.fromkeys((
         "GENERICALLY_MORSE", "NEVER_MORSE", "MorseVerdict", "classify_support",
-        "genericity_gap_demo", "is_morse", "quadratic_restriction",
+        "genericity_gap_demo", "quadratic_restriction",
     ), "morse"),
     **dict.fromkeys((
         "ParseError", "QuadraticForm", "SparsePolynomial", "determinant", "hessian_at_zero",
-        "monomial", "parse_polynomial", "quadratic_part",
+        "is_morse", "monomial", "parse_polynomial", "quadratic_part",
     ), "poly"),
     **dict.fromkeys((
         "ConvexCombination", "LatticePolytope", "Separation", "barycenter", "contains_point",

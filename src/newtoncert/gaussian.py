@@ -93,13 +93,17 @@ class GaussianRational(Record):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = other.norm()
-        if not d:
-            raise ZeroDivisionError("division by zero in Q(i)")
+        if not other.im:  # a rational divisor needs no conjugate; 0 raises ZeroDivisionError
+            return GaussianRational(self.re / other.re, self.im / other.re)
+        d = other.norm()  # positive, since other.im != 0
         return GaussianRational(
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
+
+    # Q(i) is a field, so every quotient is exact and there is nothing to
+    # floor: this lets poly.integer_determinant's Bareiss loop run on Q(i).
+    __floordiv__ = __truediv__
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

@@ -20,8 +20,9 @@ The result is conditional on the standard nondegeneracy of the input
 (face restrictions without critical torus zeros); this module exposes the
 face restrictions but does not check that condition.  One case needs no
 diagram: mu = 1 exactly when the Hessian at the origin is nonsingular (the
-Morse lemma), so that answer comes from one exact determinant, and a
-diagram that gives 1 at a singular Hessian is rejected as degenerate.
+Morse lemma), so that answer is poly.is_morse, the same exact determinant
+test that the morse module uses, and a diagram that gives 1 at a singular
+Hessian is rejected as degenerate.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from typing import Optional, Sequence, Tuple
 
 from ._record import Record
 from .gaussian import exact_fraction
-from .poly import (
-    SparsePolynomial,
-    _require_singular,
-    determinant,
-    hessian_at_zero,
-    integer_determinant,
-)
+from .poly import SparsePolynomial, integer_determinant, is_morse
 from .polytope import LatticePolytope, Point, _hull, _hull_vertices
 
 INFINITE = float("inf")
@@ -122,17 +117,15 @@ def milnor_number(f: SparsePolynomial):
 
     mu = n! V_n - (n-1)! V_{n-1} + ... + (-1)^(n-1) V_1 + (-1)^n.
     Exact for inputs satisfying the nondegeneracy condition, which is not
-    verified here.  A nonsingular Hessian at the origin gives 1 before any
-    hull (with no degree-2 term the Hessian is zero); a formula value of 1
-    at a singular Hessian is a ValueError, since then mu >= 2.  Raises
-    RuntimeError if the diagram's simplices do not close up.
+    verified here.  A Morse point (poly.is_morse) gives 1 before any hull;
+    a formula value of 1 at a singular Hessian is a ValueError, since then
+    mu >= 2.  Raises RuntimeError if the diagram's simplices do not close up.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    support = f.support()
-    _require_singular(support)
-    if any(sum(e) == 2 for e in support) and determinant(hessian_at_zero(f)):
+    if is_morse(f):
         return 1
+    support = f.support()
     N = LatticePolytope(f.n_vars, support, orthant_recession=True)
     try:
         region = under_diagram_region(N)

@@ -7,8 +7,8 @@ generator must have degree >= 2 (a singularity at 0).  Then a point of
 coordinate sum 2 in the support, the barycenter included, puts all its
 weight on the degree-2 generators, so the verdict and the samples are read
 off the hull of those generators, without an LP and without listing its
-lattice points.  Concrete functions are tested through the exact Hessian
-determinant at the origin.
+lattice points.  Concrete functions are tested by poly.is_morse, the
+exact Hessian determinant at the origin.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ import random
 from typing import Optional, Sequence
 
 from ._record import Record
-from .poly import (
-    SparsePolynomial,
-    _require_singular,
-    determinant,
-    hessian_at_zero,
-    monomial,
-)
+from .poly import SparsePolynomial, _require_singular, is_morse, monomial
 from .polytope import LatticePolytope, lattice_points
 from .stencil import (
     CoverCertificate,
@@ -82,13 +76,6 @@ def classify_support(M: LatticePolytope) -> MorseVerdict:
     cert = certify(hull)
     generically_morse = isinstance(cert, MatchingCertificate)
     return MorseVerdict(GENERICALLY_MORSE if generically_morse else NEVER_MORSE, cert)
-
-
-def is_morse(f: SparsePolynomial) -> bool:
-    """Nondegeneracy of the Hessian at the origin (exact determinant).
-    Raises ValueError on a constant or linear term."""
-    _require_singular(f._terms)
-    return bool(determinant(hessian_at_zero(f)))
 
 
 class GenericityReport(Record):

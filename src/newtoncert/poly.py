@@ -21,7 +21,7 @@ canonical rendering parses back to the same polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from ._record import Record
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, exact_fraction
@@ -44,11 +44,14 @@ def _coerce_coeff(value) -> GaussianRational:
 
 
 class SparsePolynomial(Record):
-    """Immutable sparse polynomial; zero coefficients are never stored."""
+    """Immutable sparse polynomial; zero coefficients are never stored.
+
+    terms maps exponents to coefficients or lists (exponent, coefficient)
+    pairs; like terms are combined here and nowhere else."""
 
     __match_args__ = ("n_vars", "_terms")
 
-    def __init__(self, n_vars: int, terms: Mapping[Exponent, object] = ()):
+    def __init__(self, n_vars: int, terms: Union[Mapping, Iterable[Tuple]] = ()):
         if n_vars < 1:
             raise ValueError("n_vars must be positive")
         clean: Dict[Exponent, GaussianRational] = {}
@@ -89,10 +92,7 @@ class SparsePolynomial(Record):
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if self.n_vars != other.n_vars:
             raise ValueError("variable count mismatch")
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            out[exp] = out.get(exp, GR_ZERO) + c
-        return SparsePolynomial(self.n_vars, out)
+        return SparsePolynomial(self.n_vars, [*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "SparsePolynomial":
         return SparsePolynomial(self.n_vars, {e: -c for e, c in self._terms.items()})
@@ -103,12 +103,9 @@ class SparsePolynomial(Record):
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if self.n_vars != other.n_vars:
             raise ValueError("variable count mismatch")
-        out: Dict[Exponent, GaussianRational] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = tuple(a + b for a, b in zip(ea, eb))
-                out[exp] = out.get(exp, GR_ZERO) + ca * cb
-        return SparsePolynomial(self.n_vars, out)
+        return SparsePolynomial(self.n_vars, [
+            (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+            for ea, ca in self._terms.items() for eb, cb in other._terms.items()])
 
     def render(self) -> str:
         """Canonical text form: terms in lexicographic exponent order."""
@@ -205,19 +202,15 @@ class _Parser:
         self.idx += 1
         return tok
 
-    def parse(self) -> Dict[Exponent, GaussianRational]:
-        terms: Dict[Exponent, GaussianRational] = {}
+    def parse(self) -> List[Tuple[Exponent, GaussianRational]]:
+        """The (exponent, signed coefficient) pair of each term, in order."""
+        terms = []
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.take(self.peek())[0] == "-" else 1
         while True:
             coeff, exp = self.parse_term()
-            c = coeff if sign > 0 else -coeff
-            total = terms.get(exp, GR_ZERO) + c
-            if total:
-                terms[exp] = total
-            else:
-                terms.pop(exp, None)
+            terms.append((exp, coeff if sign > 0 else -coeff))
             if self.peek() == "end":
                 return terms
             op = self.peek()
@@ -348,22 +341,11 @@ def quadratic_part(f: SparsePolynomial) -> QuadraticForm:
 
     Diagonal entries are the x_i^2 coefficients; off-diagonal entries are
     half the x_i*x_j coefficient, so that sum_ij B_ij x_i x_j reproduces f.
+    B is half the Hessian at the origin.
     """
     _require_singular(f._terms)
-    n = f.n_vars
-    rows = [[GR_ZERO] * n for _ in range(n)]
-    for exp, c in f._terms.items():
-        if sum(exp) != 2:
-            continue
-        idx = [i for i, e in enumerate(exp) if e]
-        if len(idx) == 1:
-            rows[idx[0]][idx[0]] = c
-        else:
-            i, j = idx
-            half = c / 2
-            rows[i][j] = half
-            rows[j][i] = half
-    return QuadraticForm(n, tuple(tuple(r) for r in rows))
+    h = hessian_at_zero(f)
+    return QuadraticForm(h.n, tuple(tuple(v / 2 for v in row) for row in h.rows))
 
 
 def hessian_at_zero(f: SparsePolynomial) -> QuadraticForm:
@@ -371,7 +353,7 @@ def hessian_at_zero(f: SparsePolynomial) -> QuadraticForm:
 
     Filled in one pass over the degree-2 terms: 2c on the diagonal for
     c x_i^2 and c at (i, j) and (j, i) for c x_i x_j.  Lower-degree terms
-    are not checked here; milnor_number and is_morse reject them first.
+    are not checked here; quadratic_part and is_morse reject them first.
     """
     n = f.n_vars
     rows = [[GR_ZERO] * n for _ in range(n)]
@@ -387,12 +369,25 @@ def hessian_at_zero(f: SparsePolynomial) -> QuadraticForm:
     return QuadraticForm(n, tuple(map(tuple, rows)))
 
 
-def integer_determinant(rows: Iterable[Iterable[int]]) -> int:
-    """Exact determinant of an integer matrix (Bareiss fraction-free elimination).
+def is_morse(f: SparsePolynomial) -> bool:
+    """Nondegeneracy of the Hessian at the origin (exact determinant).
 
-    Row i becomes (pv * row_i - f * row_k) // prev; a row whose pivot-column
-    entry f is 0, common in sparse matrices, skips the f products.  Entries
-    left of the pivot column are never read again and are not cleared.
+    False without building the Hessian when f has no degree-2 term, since
+    the Hessian is then zero.  Raises ValueError on a constant or linear term.
+    """
+    _require_singular(f._terms)
+    return any(sum(exp) == 2 for exp in f._terms) and bool(determinant(hessian_at_zero(f)))
+
+
+def integer_determinant(rows: Iterable[Iterable]) -> Union[int, GaussianRational]:
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    Entries are ints or GaussianRationals, whose // is exact division (Q(i)
+    is a field).  Row i becomes (pv * row_i - f * row_k) // prev, an exact
+    quotient; a row whose pivot-column entry f is 0, common in sparse
+    matrices, skips the f products.  Entries left of the pivot column are
+    never read again and are not cleared.  Whatever the entries, a singular
+    matrix may give the int 0, and the empty matrix gives the int 1.
     """
     m = [list(row) for row in rows]
     n = len(m)
@@ -427,29 +422,9 @@ def integer_determinant(rows: Iterable[Iterable[int]]) -> int:
 
 
 def determinant(form: QuadraticForm) -> GaussianRational:
-    """Exact determinant via Bareiss fraction-free elimination."""
-    if all(v.is_integer() for row in form.rows for v in row):
-        det = integer_determinant(
-            [[int(v.re) for v in row] for row in form.rows]
-        )
-        return GaussianRational(Fraction(det))
-    m = [list(row) for row in form.rows]
-    n = form.n
-    sign = 1
-    prev = GR_ONE
-    for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return GR_ZERO
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pv = m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pv - f * m[k][j]) / prev
-            m[i][k] = GR_ZERO
-        prev = pv
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    """Exact determinant by integer_determinant's Bareiss loop; an integer
+    form is first converted to ints, which that loop handles fastest."""
+    rows = form.rows
+    if all(v.is_integer() for row in rows for v in row):
+        rows = [[int(v.re) for v in row] for row in rows]
+    return GR_ZERO + integer_determinant(rows)  # the loop may return an int

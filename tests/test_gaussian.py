@@ -47,8 +47,28 @@ def test_division_examples():
 
 
 def test_zero_division_raises():
-    with pytest.raises(ZeroDivisionError):
-        GR_ONE / GR_ZERO
+    for zero in (GR_ZERO, 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            GR_ONE / zero
+        with pytest.raises(ZeroDivisionError):
+            GR_ONE // zero
+
+
+def test_floor_division_is_the_exact_quotient():
+    """Q(i) is a field: // floors nothing and equals /, for complex, real
+    and int divisors alike."""
+    rng = random.Random(1968)
+    for _ in range(200):
+        a, b = _random_scalar(rng), _random_scalar(rng)
+        r = Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 20))
+        for d in (b, GaussianRational(r), r, r.numerator):
+            if not d:
+                continue
+            assert a // d == a / d
+            assert (a // d) * d == a
+    assert GaussianRational(7) // 2 == GaussianRational(Fraction(7, 2))
+    assert GaussianRational(0, 1) // GaussianRational(1, 1) == GaussianRational(
+        Fraction(1, 2), Fraction(1, 2))
 
 
 def test_int_interop():

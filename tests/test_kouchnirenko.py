@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from newtoncert import cli, lp, polytope
+from newtoncert import cli, lp, morse, polytope
 from newtoncert.kouchnirenko import (
     INFINITE,
     UnboundedRegionError,
@@ -21,8 +21,7 @@ from newtoncert.kouchnirenko import (
     under_diagram_region,
     volumes,
 )
-from newtoncert.morse import is_morse
-from newtoncert.poly import SparsePolynomial, parse_polynomial
+from newtoncert.poly import SparsePolynomial, is_morse, parse_polynomial
 from newtoncert.polytope import LatticePolytope, newton_polyhedron, reduce_to_vertices
 from oracles import lp_vertices
 
@@ -105,11 +104,25 @@ def test_milnor_infinite():
 
 
 def test_milnor_morse_from_the_hessian():
-    """A nonsingular Hessian gives mu = 1 (the Morse lemma), complex
-    coefficients and non-convenient diagrams included."""
-    f = parse_polynomial("(1+2i)*x1^2 + (3-1i)*x1*x2 + x1*x2^2", 2)
-    assert is_morse(f)
-    assert milnor_number(f) == 1
+    """A nonsingular Hessian gives mu = 1 (the Morse lemma), complex and
+    fractional coefficients and non-convenient diagrams included."""
+    for text in ("(1+2i)*x1^2 + (3-1i)*x1*x2 + x1*x2^2", "1/3*x1^2 + 1/3*x2^2 + x1^5"):
+        f = parse_polynomial(text, 2)
+        assert is_morse(f)
+        assert milnor_number(f) == 1
+
+
+def test_no_degree_2_term_builds_no_hessian(monkeypatch):
+    """milnor_number and morse share poly.is_morse, which answers False
+    without a Hessian when f has no degree-2 term."""
+    def no_hessian(f):
+        raise AssertionError("hessian_at_zero called")
+
+    monkeypatch.setattr("newtoncert.poly.hessian_at_zero", no_hessian)
+    f = parse_polynomial("x1^3 + x2^3", 2)
+    assert morse.is_morse is is_morse
+    assert not is_morse(f)
+    assert milnor_number(f) == 4
 
 
 def test_milnor_sum_of_squares_is_fast():
@@ -125,6 +138,7 @@ def test_milnor_sum_of_squares_is_fast():
 @pytest.mark.parametrize("poly", [
     "x1^2 - 2*x1*x2 + x2^2 + x1^3",
     "2*x2^2 + 8*x1*x2 + 8*x1^2 + 8*x1^2*x2^3 + 5*x1^2*x2^4 + 2*x1^4*x2^4",
+    "x1^2 + (0+2i)*x1*x2 - x2^2",  # (x1 + i x2)^2
 ])
 def test_milnor_degenerate_diagram_is_an_error(poly, capsys):
     """The diagram gives 1, but the Hessian is singular, so mu >= 2."""

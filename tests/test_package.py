@@ -18,9 +18,9 @@ EXPORTS = {
     "kouchnirenko": ("INFINITE", "UnboundedRegionError", "UnderDiagramRegion", "VolumeVector",
                      "face_restriction", "milnor_number", "under_diagram_region", "volumes"),
     "morse": ("GENERICALLY_MORSE", "NEVER_MORSE", "MorseVerdict", "classify_support",
-              "genericity_gap_demo", "is_morse", "quadratic_restriction"),
+              "genericity_gap_demo", "quadratic_restriction"),
     "poly": ("ParseError", "QuadraticForm", "SparsePolynomial", "determinant",
-             "hessian_at_zero", "monomial", "parse_polynomial", "quadratic_part"),
+             "hessian_at_zero", "is_morse", "monomial", "parse_polynomial", "quadratic_part"),
     "polytope": ("ConvexCombination", "LatticePolytope", "Separation", "barycenter",
                  "contains_point", "is_minimal", "lattice_points", "minimal_subpolytope",
                  "newton_polyhedron", "newton_polytope", "pair_point", "two_delta_points"),

@@ -128,6 +128,38 @@ def test_add_mul_calc():
     assert p.terms == {(2, 0): gr(1), (1, 1): gr(2), (0, 2): gr(1)}
 
 
+def _merged(pairs):
+    """Dict oracle: sum the coefficients of each exponent, drop zero sums."""
+    out = {}
+    for exp, c in pairs:
+        out[exp] = out.get(exp, GR_ZERO) + c
+    return {exp: c for exp, c in out.items() if c}
+
+
+def test_like_terms_combined_once():
+    """The constructor combines like terms, for the parser, + and * alike."""
+    e = (1, 0)
+    assert SparsePolynomial(2, [(e, 1), (e, -1), (e, 2)]).terms == {e: gr(2)}
+    x1, x2 = monomial(2, (1, 0)), monomial(2, (0, 1))
+    assert (x1 + x2) * (x1 - x2) == parse_polynomial("x1^2 - x2^2", 2)
+    assert (x1 + x2) + (-x1 - x2) == SparsePolynomial(2)
+    assert parse_polynomial("x1 + x2 - x1", 2).terms == {(0, 1): GR_ONE}
+    assert parse_polynomial("x1 - x1", 2).is_zero()
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        pairs = [[(tuple(rng.randint(0, 2) for _ in range(n)),
+                   gr(rng.randint(-2, 2), rng.randint(-1, 1))) for _ in range(rng.randint(0, 8))]
+                 for _ in range(2)]
+        p, q = (SparsePolynomial(n, ps) for ps in pairs)
+        assert p.terms == _merged(pairs[0])
+        assert (p + q).terms == _merged(pairs[0] + pairs[1])
+        assert (p * q).terms == _merged(
+            (tuple(map(sum, zip(ea, eb))), ca * cb)
+            for ea, ca in p.terms.items() for eb, cb in q.terms.items())
+        assert parse_polynomial(p.render(), n) == p
+
+
 # -- quadratic part and Hessian ---------------------------------------------
 
 
@@ -205,6 +237,8 @@ def _det_expansion(rows, one=GR_ONE):
     n = len(rows)
     total = one - one
     for sigma in itertools.permutations(range(n)):
+        if not all(rows[i][sigma[i]] for i in range(n)):
+            continue  # a zero term
         sign = 1
         seen = [False] * n
         for start in range(n):
@@ -266,7 +300,8 @@ def test_integer_determinant_matches_general_path():
         assert determinant(form) == gr(integer_determinant(rows))
         assert gr(integer_determinant(rows)) == _det_expansion(form.rows)
     # sparse, non-symmetric: rows whose pivot-column entry is 0 skip the
-    # multiplier product, zero leading pivots force row swaps
+    # multiplier product, zero leading pivots force row swaps; each matrix
+    # runs again with Gaussian-rational entries on the same zero pattern
     swaps = zero_columns = nonzero = 0
     for _ in range(150):
         n = rng.randint(0, 7)
@@ -281,6 +316,9 @@ def test_integer_determinant_matches_general_path():
                 row[c] = 0
         det = integer_determinant(rows)
         assert det == _det_expansion(rows, 1)
+        scaled = [[gr(Fraction(v, rng.randint(1, 3)), rng.randint(-2, 2)) if v else GR_ZERO
+                   for v in row] for row in rows]
+        assert GR_ZERO + integer_determinant(scaled) == _det_expansion(scaled)
         nonzero += det != 0
         swaps += n > 1 and det != 0 and rows[0][0] == 0
         zero_columns += n > 1 and not all(any(col) for col in zip(*rows))
