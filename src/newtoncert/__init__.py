@@ -35,7 +35,7 @@ _EXPORTS = {
     ), "polytope"),
     **dict.fromkeys((
         "Certificate", "CoverCertificate", "HalfSpace", "MatchingCertificate", "Stencil",
-        "certify", "certify_via_minimal", "find_matching", "min_vertex_cover",
+        "certify", "find_matching", "min_vertex_cover",
         "sample_generic_form", "separating_halfspace", "sign_consistency", "stencil_of",
     ), "stencil"),
 }

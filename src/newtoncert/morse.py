@@ -17,7 +17,7 @@ import random
 from typing import Optional, Sequence
 
 from ._record import Record
-from .poly import SparsePolynomial, _require_singular, is_morse, monomial
+from .poly import _require_singular, is_morse, monomial
 from .polytope import LatticePolytope, lattice_points
 from .stencil import (
     CoverCertificate,
@@ -78,35 +78,19 @@ def classify_support(M: LatticePolytope) -> MorseVerdict:
     return MorseVerdict(GENERICALLY_MORSE if generically_morse else NEVER_MORSE, cert)
 
 
-class GenericityReport(Record):
-    """entries: one (seed, is_morse) pair per sample."""
-
-    __match_args__ = ("entries",)
-
-    @property
-    def all_morse(self) -> bool:
-        return all(m for _, m in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "samples": [{"seed": s, "is_morse": m} for s, m in self.entries],
-            "all_morse": self.all_morse,
-        }
-
-
-def genericity_gap_demo(M: LatticePolytope, seeds: Sequence[int]) -> GenericityReport:
+def genericity_gap_demo(M: LatticePolytope, seeds: Sequence[int]) -> None:
     """Sampled evidence that generically-Morse supports give Morse functions.
 
     For each seed, draws a generic quadratic form on the quadratic
     restriction of M, appends seeded higher-order terms supported in M,
-    and records the Morse test.  Any non-Morse sample is an implementation
-    error and raises.
+    and runs the Morse test.  Returns None when every sample is Morse;
+    a non-Morse sample is an implementation error and raises RuntimeError
+    naming its seed.  ValueError when M is not generically Morse.
     """
     verdict = classify_support(M)
     if verdict.kind != GENERICALLY_MORSE:
         raise ValueError("support is not generically Morse")
     hull = _quadratic_hull(M)
-    entries = []
     for seed in seeds:
         form = sample_generic_form(hull, seed)
         f = form.as_polynomial()
@@ -118,8 +102,5 @@ def genericity_gap_demo(M: LatticePolytope, seeds: Sequence[int]) -> GenericityR
                 exp[rng.randrange(M.n)] += 3 - sum(exp)
             if sum(exp) >= 3:
                 f = f + monomial(M.n, tuple(exp), rng.randint(1, 100))
-        morse = is_morse(f)
-        if not morse:
+        if not is_morse(f):
             raise RuntimeError(f"sampled generic function is not Morse (seed {seed})")
-        entries.append((seed, morse))
-    return GenericityReport(tuple(entries))

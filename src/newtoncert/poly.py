@@ -21,6 +21,7 @@ canonical rendering parses back to the same polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from ._record import Record
@@ -422,9 +423,13 @@ def integer_determinant(rows: Iterable[Iterable]) -> Union[int, GaussianRational
 
 
 def determinant(form: QuadraticForm) -> GaussianRational:
-    """Exact determinant by integer_determinant's Bareiss loop; an integer
-    form is first converted to ints, which that loop handles fastest."""
+    """Exact determinant by integer_determinant's Bareiss loop.  A real form
+    is first cleared of denominators: its entries times the lcm L of their
+    denominators are ints, whose determinant over L^n is the answer.  A
+    complex form runs the loop on its Q(i) entries."""
     rows = form.rows
-    if all(v.is_integer() for row in rows for v in row):
-        rows = [[int(v.re) for v in row] for row in rows]
-    return GR_ZERO + integer_determinant(rows)  # the loop may return an int
+    if any([v.im for row in rows for v in row]):
+        return GR_ZERO + integer_determinant(rows)  # the loop may return an int
+    L = lcm(*[v.re.denominator for row in rows for v in row])
+    ints = [[v.re.numerator * (L // v.re.denominator) for v in row] for row in rows]
+    return GaussianRational(Fraction(integer_determinant(ints), L ** form.n))

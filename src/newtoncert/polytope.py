@@ -497,24 +497,22 @@ def is_minimal(M: LatticePolytope) -> bool:
     return _minimal_permutation(M) is not None
 
 
-def _minimal_or_none(
-    M: LatticePolytope,
-) -> Optional[Tuple[LatticePolytope, Tuple[int, ...]]]:
-    """minimal_subpolytope's answer and its permutation, or None when the
-    barycenter is outside M.
+def minimal_subpolytope(M: LatticePolytope) -> LatticePolytope:
+    """A minimal sub-polytope still containing the barycenter (ValueError
+    when it is outside M), from one exact LP over the lattice points of M.
 
-    The support of one basic solution is affinely independent, so while it
+    The support of the basic solution is affinely independent; while it
     holds two diagonal points (the lexicographically smallest, 2e_i and
     2e_j), the lighter one a (by weight, then point) gives way to the
     midpoint e_i + e_j with weight 2 w_a and the other keeps w_b - w_a, the
     only weights over the new support.  Checked by substitution and by the
-    pair-graph walk (_minimal_permutation), whose sigma is returned.
+    pair-graph walk (_minimal_permutation) before it is returned.
     """
     pts = lattice_points(M)
     center = barycenter(M.n)
     res = contains_point(LatticePolytope(M.n, pts), center)
     if isinstance(res, Separation):
-        return None
+        raise ValueError("the barycenter is not contained in the polytope")
     weights = {p: w for p, w in zip(res.points, res.weights) if w}
     while len(diagonals := sorted(p for p in weights if 2 in p)) >= 2:
         a, b = sorted(diagonals[:2], key=lambda p: (weights[p], p))
@@ -527,19 +525,7 @@ def _minimal_or_none(
     if witness.value() != center:
         raise RuntimeError("merged weights do not give the barycenter")
     result = LatticePolytope(M.n, witness.points, False)
-    sigma = _minimal_permutation(result)
-    if sigma is None:
+    if _minimal_permutation(result) is None:
         raise RuntimeError("merged support is not minimal")
-    return result, sigma
-
-
-def minimal_subpolytope(M: LatticePolytope) -> LatticePolytope:
-    """A minimal sub-polytope still containing the barycenter: the support
-    of the first basic solution of one exact LP over the lattice points of
-    M, its diagonal points merged through their midpoints (_minimal_or_none).
-    """
-    found = _minimal_or_none(M)
-    if found is None:
-        raise ValueError("the barycenter is not contained in the polytope")
-    return found[0]
+    return result
 

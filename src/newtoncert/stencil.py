@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 from ._record import Record
 from .polytope import (
     LatticePolytope,
-    _minimal_or_none,
     _pair_closure,
     _require_in_two_delta,
     in_pair_hull,
@@ -267,24 +266,6 @@ def certify(M: LatticePolytope) -> Certificate:
         if not hs.contains(g):
             raise RuntimeError("cover half-space misses a generator")
     return CoverCertificate(I, J, hs)
-
-
-def certify_via_minimal(M: LatticePolytope) -> Certificate:
-    """Certificate by minimal-polytope reduction instead of matching search.
-
-    The minimal sub-polytope's one exact LP (_minimal_or_none) decides
-    membership; no other LP runs.  Inside, the permutation is the one that
-    _minimal_or_none read off the minimal polytope's pair graph, whose
-    walk and barycenter substitution are its checks; outside, the answer
-    is certify's cover.  Used to cross-validate the two constructions.
-    """
-    found = _minimal_or_none(M)
-    if found is None:
-        cert = certify(M)
-        if isinstance(cert, MatchingCertificate):
-            raise RuntimeError("matching/membership dichotomy violated")
-        return cert
-    return MatchingCertificate(found[1])
 
 
 def permutation_sign(sigma: Sequence[int]) -> int:

@@ -9,9 +9,12 @@ hull itself does only for its plain start.  The LP minimality oracle never
 reads the pair graph: it asks the exact LP for the barycenter's weights
 and an exact rank for affine independence.  The LP minimal descent never
 merges weights in closed form: it solves the barycenter LP again after
-every point it drops.  The special-vertex reduction and the matching
-witness are the proof's constructions, kept here as references: no route
-of the package runs them.
+every point it drops.  The special-vertex reduction, the matching
+witness and the certificate by minimal-polytope reduction are the proof's
+constructions, kept here as references: no route of the package runs
+them.  The last is the second route that certify is checked against: it
+reads the permutation off the minimal sub-polytope's pair graph, not off
+a matching.
 """
 
 from fractions import Fraction
@@ -21,13 +24,16 @@ from newtoncert.polytope import (
     ConvexCombination,
     LatticePolytope,
     Separation,
+    _minimal_permutation,
     barycenter,
     contains_point,
     decode_pair,
     is_minimal,
     lattice_points,
+    minimal_subpolytope,
     pair_point,
 )
+from newtoncert.stencil import MatchingCertificate, certify
 
 
 def lp_vertices(points, n, orthant_recession):
@@ -175,6 +181,26 @@ def witness_O_from_matching(sigma, n):
         raise ValueError("sigma is not a permutation of 0..n-1")
     points = tuple(pair_point(n, i, sigma[i]) for i in range(n))
     return ConvexCombination(points, (Fraction(1, n),) * n)
+
+
+def certify_via_minimal(M):
+    """Certificate by minimal-polytope reduction instead of matching search.
+
+    minimal_subpolytope's one exact LP decides membership; no other LP
+    runs.  Inside, the permutation is the one _minimal_permutation reads
+    off the minimal polytope's pair graph: a transposition per edge, a
+    fixed point at the loop, each odd cycle walked from its smallest index
+    towards its smaller neighbour.  Outside, the answer is certify's
+    cover, which must not be a matching.
+    """
+    try:
+        mm = minimal_subpolytope(M)
+    except ValueError:
+        cert = certify(M)  # raises again when M is not inside 2D
+        if isinstance(cert, MatchingCertificate):
+            raise RuntimeError("matching/membership dichotomy violated") from None
+        return cert
+    return MatchingCertificate(_minimal_permutation(mm))
 
 
 def lower_chain(points):

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import affinely_independent, grid_area, lower_chain
+from oracles import affinely_independent, certify_via_minimal, grid_area, lower_chain
 
 from newtoncert.kouchnirenko import milnor_number, under_diagram_region, volumes
 from newtoncert.morse import (
@@ -32,7 +32,6 @@ from newtoncert.polytope import (
 from newtoncert.stencil import (
     Stencil,
     certify,
-    certify_via_minimal,
     find_matching,
     min_vertex_cover,
     sample_entries,
@@ -245,8 +244,9 @@ def test_criterion_7_morse_classification_box():
                 if is_morse(f):
                     failures += 1
         else:
-            report = genericity_gap_demo(M, range(100))
-            if not report.all_morse:
+            try:
+                genericity_gap_demo(M, range(100))
+            except RuntimeError:  # a non-Morse sample
                 failures += 1
         total += 1
     _report(

@@ -2,11 +2,18 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from oracles import is_special_vertex, lp_is_minimal, lp_minimal_descent, reduce_special
+from oracles import (
+    certify_via_minimal,
+    is_special_vertex,
+    lp_is_minimal,
+    lp_minimal_descent,
+    reduce_special,
+)
 
-from newtoncert import _linalg, lp, polytope
+from newtoncert import _linalg, cli, lp, polytope
 from newtoncert.polytope import (
     ConvexCombination,
     LatticePolytope,
@@ -18,7 +25,7 @@ from newtoncert.polytope import (
     pair_point,
     two_delta_points,
 )
-from newtoncert.stencil import certify, certify_via_minimal
+from newtoncert.stencil import certify
 
 
 def _contains_o(points, n):
@@ -155,14 +162,25 @@ def test_minimal_takes_first_basic_solution():
 
 
 def test_minimal_checks_merged_weights_by_substitution(monkeypatch):
-    """A wrong basic solution is caught before anything is returned."""
-    def wrong(M, q):
-        return ConvexCombination(M.generators[:1], (1,))
-
-    monkeypatch.setattr(polytope, "contains_point", wrong)
+    """A wrong basic solution, a valid combination off the barycenter, is
+    caught before anything is returned, merged or not."""
     M = LatticePolytope(2, ((2, 0), (1, 1), (0, 2)))
-    with pytest.raises(RuntimeError, match="barycenter"):
+    for wrong in (ConvexCombination(((0, 2),), (1,)),
+                  ConvexCombination(((0, 2), (2, 0)), (Fraction(1, 4), Fraction(3, 4)))):
+        monkeypatch.setattr(polytope, "contains_point", lambda P, q, wrong=wrong: wrong)
+        with pytest.raises(RuntimeError, match="merged weights do not give the barycenter"):
+            minimal_subpolytope(M)
+
+
+def test_minimal_checks_merged_support_by_pair_graph(monkeypatch, capsys):
+    """A merged support that the pair-graph walk rejects is an internal
+    error, which the minimal subcommand reports with exit code 3."""
+    monkeypatch.setattr(polytope, "_minimal_permutation", lambda M: None)
+    M = LatticePolytope(2, ((2, 0), (1, 1), (0, 2)))
+    with pytest.raises(RuntimeError, match="merged support is not minimal"):
         minimal_subpolytope(M)
+    assert cli.run(["minimal", "--n", "2", "--points", "2,0;1,1;0,2"]) == 3
+    assert capsys.readouterr().out == '{"error":"merged support is not minimal","internal":true}\n'
 
 
 def test_is_minimal_matches_brute_force():

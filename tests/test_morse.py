@@ -193,16 +193,21 @@ def test_degree_below_two_rejected():
 
 def test_genericity_gap_demo():
     M = newton_polyhedron(parse_polynomial("x1*x2 + x1^5 + x2^7", 2))
-    report = genericity_gap_demo(M, [1, 2, 3])
-    assert report.all_morse
-    assert [s for s, _ in report.entries] == [1, 2, 3]
+    assert genericity_gap_demo(M, [1, 2, 3]) is None
 
     full = LatticePolytope(2, ((2, 0), (1, 1), (0, 2)))
-    report2 = genericity_gap_demo(full, range(10))
-    assert report2.all_morse
+    assert genericity_gap_demo(full, range(10)) is None
 
     diag = LatticePolytope(3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
-    assert genericity_gap_demo(diag, [1]).all_morse
+    assert genericity_gap_demo(diag, [1]) is None
+
+
+def test_genericity_gap_demo_raises_on_non_morse_sample(monkeypatch):
+    """A non-Morse sample is an internal error that names its seed."""
+    monkeypatch.setattr(morse, "is_morse", lambda f: False)
+    full = LatticePolytope(2, ((2, 0), (1, 1), (0, 2)))
+    with pytest.raises(RuntimeError, match=r"not Morse \(seed 7\)"):
+        genericity_gap_demo(full, [7, 8])
 
 
 def test_genericity_gap_demo_rejects_never_morse():
@@ -235,4 +240,4 @@ def test_box_supports_three_vars():
                 }
                 assert not is_morse(SparsePolynomial(3, coeffs)), support
         else:
-            assert genericity_gap_demo(M, range(20)).all_morse
+            assert genericity_gap_demo(M, range(20)) is None

@@ -25,7 +25,7 @@ EXPORTS = {
                  "contains_point", "is_minimal", "lattice_points", "minimal_subpolytope",
                  "newton_polyhedron", "newton_polytope", "pair_point", "two_delta_points"),
     "stencil": ("Certificate", "CoverCertificate", "HalfSpace", "MatchingCertificate", "Stencil",
-                "certify", "certify_via_minimal", "find_matching", "min_vertex_cover",
+                "certify", "find_matching", "min_vertex_cover",
                 "sample_generic_form", "separating_halfspace", "sign_consistency", "stencil_of"),
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)

@@ -282,6 +282,27 @@ def test_determinant_matches_expansion_oracle():
                 rows[i][j] = rows[j][i] = v
         form = QuadraticForm(n, tuple(tuple(r) for r in rows))
         assert determinant(form) == _det_expansion(form.rows)
+    # real rational forms, whose denominators are cleared before the int
+    # loop, also against the loop on their Q(i) entries; an index repeated
+    # by the draw repeats a row, so the form is singular
+    # (QuadraticForm rejects n = 0)
+    singular = 0
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        m = n if rng.random() < 0.6 else rng.randint(1, n)
+        a = [[GR_ZERO] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                if rng.random() < 0.7:
+                    a[i][j] = a[j][i] = gr(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        idx = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
+        rng.shuffle(idx)
+        form = QuadraticForm(n, tuple(tuple(a[p][q] for q in idx) for p in idx))
+        det = determinant(form)
+        assert type(det) is GaussianRational
+        assert det == _det_expansion(form.rows) == GR_ZERO + integer_determinant(form.rows)
+        singular += not det
+    assert singular >= 20
 
 
 def test_integer_determinant_empty_matrix():

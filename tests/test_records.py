@@ -25,7 +25,6 @@ from newtoncert import (
 )
 from newtoncert._record import Record
 from newtoncert.lp import FarkasInfeasible, Feasible
-from newtoncert.morse import GenericityReport
 
 GR = GaussianRational
 
@@ -59,8 +58,6 @@ CASES = [
     (MorseVerdict, {"kind": "generically_morse", "certificate": MatchingCertificate((1, 0))},
      Separation,
      "MorseVerdict(kind='generically_morse', certificate=MatchingCertificate(sigma=(1, 0)))"),
-    (GenericityReport, {"entries": ((1, True), (2, True))}, Feasible,
-     "GenericityReport(entries=((1, True), (2, True)))"),
     (LatticePolytope, {"n": 2, "generators": ((2, 0), (0, 2), (1, 1)), "orthant_recession": True},
      CoverCertificate,
      "LatticePolytope(n=2, generators=((0, 2), (1, 1), (2, 0)), orthant_recession=True)"),
@@ -118,7 +115,7 @@ def test_record_behaviour(cls, kwargs, other, text):
 # The records whose constructor only stores its fields: Record builds them.
 STORAGE_ONLY = [case for case in CASES if case[0] in (
     Feasible, FarkasInfeasible, Separation, HalfSpace, MatchingCertificate, CoverCertificate,
-    MorseVerdict, GenericityReport, VolumeVector, UnderDiagramRegion)]
+    MorseVerdict, VolumeVector, UnderDiagramRegion)]
 
 
 @pytest.mark.parametrize("cls, kwargs, other, text", STORAGE_ONLY,

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import witness_O_from_matching
+from oracles import certify_via_minimal, witness_O_from_matching
 
 from newtoncert import lp, polytope, stencil
 from newtoncert.gaussian import GaussianRational
@@ -29,7 +29,6 @@ from newtoncert.stencil import (
     Stencil,
     _max_matching,
     certify,
-    certify_via_minimal,
     find_matching,
     min_vertex_cover,
     permutation_sign,
