@@ -37,9 +37,6 @@ class GaussianRational(Record):
     def is_real(self) -> bool:
         return not self.im
 
-    def is_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 

@@ -84,7 +84,7 @@ def under_diagram_region(N: LatticePolytope) -> UnderDiagramRegion:
     if intercepts is None:
         raise UnboundedRegionError("complement is unbounded: "
                                    "some axis carries no pure power")
-    facets = _hull(N.generators, orthant=True)
+    facets = _hull(N.generators)
     origin = (0,) * n
     simplices = tuple((origin,) + tuple(g[1:] for g in face) for face in facets)
     return UnderDiagramRegion(n, _hull_vertices(facets, n), intercepts, simplices)

@@ -20,10 +20,9 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Sequence, Union
 
-# Unused here.  polytope imports _linalg only where it calls it, so that a
-# certify request never loads it; bench/spans.py, which traces _linalg,
-# finds it in sys.modules only once a module that it imports, such as this
-# one, has imported it.
+# Unused here, and no module of the package calls _linalg; bench/spans.py,
+# which traces it, finds it in sys.modules only once a module that it
+# imports, such as this one, has imported it.
 from . import _linalg  # noqa: F401
 from ._record import Record
 

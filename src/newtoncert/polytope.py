@@ -1,15 +1,17 @@
 """Exact lattice-polytope geometry in the nonnegative orthant.
 
 A LatticePolytope is a generator point set, optionally Minkowski-summed
-with the nonnegative orthant (orthant_recession).  Its vertices, and the
-Newton diagrams of kouchnirenko, come from one exact integer hull, _hull:
-beneath-beyond with primitive integer facet normals, keyed by generator
-index, where each new facet's normal is one integer combination of the
-normals of the two facets at its horizon ridge.  With the orthant the
-hull stores only the facets of N = conv(S) + R^n_+ off the coordinate
-hyperplanes (all compact when every axis carries a pure power) and keeps
-the coordinate facets and the face at infinity implicit; its start is in
-closed form, and cofactors are taken for the plain start simplex only.
+with the nonnegative orthant (orthant_recession).  The vertices of a
+Newton polyhedron N = conv(S) + R^n_+, and the Newton diagrams of
+kouchnirenko, come from one exact integer hull, _hull: beneath-beyond
+with primitive integer facet normals, keyed by generator index, where
+each new facet's normal is one integer combination of the normals of the
+two facets at its horizon ridge.  It stores only the facets of N off the
+coordinate hyperplanes (all compact when every axis carries a pure power)
+and keeps the coordinate facets and the face at infinity implicit; its
+start is in closed form.  A Newton polytope's vertices take no hull: a
+support in 2D keeps its points by the pair rule below, and any other
+keeps the points that one membership LP each separates from the rest.
 Membership of a general point runs an exact rational LP and returns a
 checkable witness: a convex combination or a separating functional; a
 minimal sub-polytope takes one such LP and merges in closed form.
@@ -22,7 +24,8 @@ of them or the midpoint of two diagonal ones.  Lattice points inside 2D
 are read in index space: _pair_closure reads each generator once as its
 pair (i, j) and closes over the diagonal ones, giving the stencil rows and
 the lattice points without an LP; in_pair_hull is the same rule for one
-point, kept as an independent check.  Minimality is read off the same
+point, which checks a matching's pairs and picks a quadratic form's
+vertices.  Minimality is read off the same
 closure as a graph (_minimal_permutation), again without an LP, so no
 route needs the proof's special-vertex reduction.
 """
@@ -226,21 +229,9 @@ def contains_point(M: LatticePolytope, q: Sequence) -> MembershipResult:
     return Separation(tuple(-v for v in result.y[: M.n]), result.y[M.n])
 
 
-def _normal(face):
-    """Normal (-c, *w) of the hyperplane <w, x> = c through the n points
-    (1, *s) of a face: the signed minors of their differences from the last."""
-    from .poly import integer_determinant
-
-    base = face[-1][1:]
-    rows = [[a - b for a, b in zip(g[1:], base)] for g in face[:-1]]
-    w = [(-1) ** j * integer_determinant([r[:j] + r[j + 1:] for r in rows])
-         for j in range(len(base))]
-    return (-sum(map(mul, w, base)),) + tuple(w)
-
-
-def _hull(points, orthant=False):
-    """Triangulated boundary of the cone over (1, *s) for the points s, and
-    over the rays (0, *e_k) when orthant is set, by beneath-beyond.
+def _hull(points):
+    """Triangulated boundary of N = conv(points) + R^n_+, as the cone over
+    (1, *s) for the points s and over the rays (0, *e_k), by beneath-beyond.
 
     Maps each stored facet (a sorted n-tuple of generators) to its primitive
     inner normal (-c, *w): <w, s> >= c on the hull.  A facet is visible from
@@ -251,20 +242,18 @@ def _hull(points, orthant=False):
     facet V there rotated onto g: its normal <h_K, g> h_V - <h_V, g> h_K
     comes from V and the facet K across the ridge (Chand & Kapur 1970).
 
-    Without the orthant the first n + 1 points, affinely independent, start
-    the hull by cofactors (_normal).  With it the pure powers
-    (sum(s) == max(s)) go first, and no facet with c = 0 is stored (w >= 0
-    puts it inside one coordinate hyperplane x_j = 0), nor the face at
-    infinity: on a convenient support every stored facet is compact.  The
-    start, the rays and the first point p, has the facets x_j >= p_j with
-    p_j > 0.  A ridge held by one stored facet borders the face at infinity
-    (normal (1, 0, ..., 0)) when it holds no point, else the facet x_j = 0
-    (normal e_j) of the one j on which all its generators vanish.
+    The pure powers (sum(s) == max(s)) go first, and no facet with c = 0 is
+    stored (w >= 0 puts it inside one coordinate hyperplane x_j = 0), nor
+    the face at infinity: on a convenient support every stored facet is
+    compact.  The start, the rays and the first point p, has the facets
+    x_j >= p_j with p_j > 0.  A ridge held by one stored facet borders the
+    face at infinity (normal (1, 0, ..., 0)) when it holds no point, else
+    the facet x_j = 0 (normal e_j) of the one j on which all its generators
+    vanish.
     """
     n = len(points[0])
-    if orthant:
-        points = sorted(points, key=lambda p: sum(p) != max(p))
-    order = [(0,) + tuple(int(k == axis) for k in range(n)) for axis in range(n) if orthant]
+    points = sorted(points, key=lambda p: sum(p) != max(p))
+    order = [(0,) + tuple(int(k == axis) for k in range(n)) for axis in range(n)]
     order += [(1,) + tuple(p) for p in points]
     gens = sorted(order)  # gens[label]
     label = {g: i for i, g in enumerate(gens)}
@@ -276,7 +265,7 @@ def _hull(points, orthant=False):
     def add(face, h):
         if sum(map(mul, h, inner)) <= 0:
             raise RuntimeError(f"degenerate hull facet {tuple(gens[i] for i in face)}")
-        if orthant and not h[0]:  # inside a coordinate hyperplane
+        if not h[0]:  # inside a coordinate hyperplane
             return
         k = gcd(*h)
         facets[face] = tuple(v // k for v in h)
@@ -294,14 +283,9 @@ def _hull(points, orthant=False):
         return order[axes.pop() - 1]
 
     start = sorted(label[g] for g in order[: n + 1])
-    if orthant:
-        p = order[n]
-        for j, ray in enumerate(order[:n]):  # add drops x_j >= 0
-            add(tuple(i for i in start if gens[i] != ray), (-p[j + 1],) + ray[1:])
-    else:
-        for face in combinations(start, n):
-            h = _normal([gens[i] for i in face])
-            add(face, h if sum(map(mul, h, inner)) >= 0 else tuple(-v for v in h))
+    p = order[n]
+    for j, ray in enumerate(order[:n]):  # add drops x_j >= 0
+        add(tuple(i for i in start if gens[i] != ray), (-p[j + 1],) + ray[1:])
     for g in order[n + 1:]:
         dist = {face: sum(map(mul, h, g)) for face, h in facets.items()}
         if all(d >= 0 for d in dist.values()):
@@ -335,15 +319,17 @@ def _hull_vertices(facets, n) -> Tuple[Point, ...]:
 def reduce_to_vertices(
     points: Sequence[Point], n: int, orthant_recession: bool
 ) -> Tuple[Point, ...]:
-    """Vertices of conv(points), plus the orthant when flagged, by _hull.
+    """Vertices of conv(points), plus the orthant when flagged.
 
-    A plain support may be lower-dimensional (a quadratic form's lies in
-    sum(x) = 2), so it is projected onto the pivot coordinates of its
-    differences, injective on its affine hull; the pivot differences pick
-    the affinely independent points that start the hull, and the rest
-    follow in sorted order.  Only a single point is answered directly: a
-    collinear support projects to one coordinate, where _hull keeps the two
-    ends.  Raises ValueError naming the first point that does not have n
+    With the orthant they are read off _hull.  Without it a support in 2D
+    (a quadratic form's) keeps every point but the midpoints of two
+    diagonal points (the rule of in_pair_hull), with no LP; any other
+    support keeps each point that contains_point separates from the rest,
+    one exact LP per point whose answer lp.solve_eq_nonneg substituted.
+    A point found inside the hull of the rest is dropped from the later
+    LPs: the vertices all stay, so a later point is in the hull of the
+    remaining points exactly when it is in the hull of all the others.
+    Raises ValueError naming the first point that does not have n
     coordinates.
     """
     for p in points:
@@ -353,14 +339,16 @@ def reduce_to_vertices(
     if len(pts) <= 1:
         return tuple(pts)
     if orthant_recession:
-        return _hull_vertices(_hull(pts, orthant=True), n)
-    from ._linalg import _echelon
-
-    diffs = [[Fraction(c - b) for c, b in zip(p, pts[0])] for p in pts[1:]]
-    cols = _echelon([row[:] for row in diffs])
-    firsts = [pts[1 + i] for i in _echelon([list(col) for col in zip(*diffs)])]
-    projected = {tuple(p[k] for k in cols): p for p in pts[:1] + firsts + pts[1:]}
-    return tuple(sorted(projected[q] for q in _hull_vertices(_hull(list(projected)), len(cols))))
+        return _hull_vertices(_hull(pts), n)
+    if in_two_delta(LatticePolytope(n, pts)):
+        diagonal = {p for p in pts if 2 in p}
+        return tuple(p for p in pts if p in diagonal or not in_pair_hull(p, diagonal))
+    keep = list(pts)
+    for p in pts:
+        if isinstance(contains_point(LatticePolytope(n, [q for q in keep if q != p]), p),
+                      ConvexCombination):
+            keep.remove(p)
+    return tuple(keep)
 
 
 def newton_polytope(p: SparsePolynomial) -> LatticePolytope:

@@ -3,10 +3,14 @@
 The grid oracle never triangulates: it rebuilds the diagram polyline with
 a plain monotone-chain pass and counts (1/m)-boxes column by column.  The
 LP vertex oracle never builds a hull: it keeps each point that the exact
-membership LP separates from the others.  The cofactor normal never
-rotates: it takes a hull face's normal from minors, rays included, as the
-hull itself does only for its plain start.  The LP minimality oracle never
-reads the pair graph: it asks the exact LP for the barycenter's weights
+membership LP separates from all the others (the package's route for a
+plain support outside the quadratic simplex also drops each point it
+finds inside from the later LPs).  The Fourier-Motzkin vertex oracle
+keeps the same points without the simplex method: it shares no code with
+lp.  The cofactor normal never rotates: it takes a hull face's normal
+from minors, rays included, where the hull starts in closed form and
+rotates every later normal.  The LP minimality oracle never reads the
+pair graph: it asks the exact LP for the barycenter's weights
 and an exact rank for affine independence.  The LP minimal descent never
 merges weights in closed form: it solves the barycenter LP again after
 every point it drops.  The special-vertex reduction, the matching
@@ -19,6 +23,7 @@ a matching.
 
 from fractions import Fraction
 
+from fm_oracle import fm_contains
 from newtoncert.poly import integer_determinant
 from newtoncert.polytope import (
     ConvexCombination,
@@ -49,11 +54,22 @@ def lp_vertices(points, n, orthant_recession):
     return tuple(keep)
 
 
+def fm_vertices(points):
+    """Vertices of conv(points), one Fourier-Motzkin membership per point."""
+    pts = sorted({tuple(p) for p in points})
+    keep = []
+    for p in pts:
+        others = [q for q in pts if q != p]
+        if not others or not fm_contains(others, p):
+            keep.append(p)
+    return tuple(keep)
+
+
 def cofactor_normal(face):
-    """Normal (-c, *w) of the cone's hyperplane <w, x> = c through a hull
-    face of points (1, *s) and rays (0, *e_k): w_k = 0 for each ray, the
-    rest are the signed minors of the points' differences from the last
-    point (rays sort first).  Unoriented and not divided by its gcd."""
+    """Normal (-c, *w) of the cone's hyperplane <w, x> = c through a face of
+    the orthant hull, of points (1, *s) and rays (0, *e_k): w_k = 0 for each
+    ray, the rest are the signed minors of the points' differences from the
+    last point (rays sort first).  Unoriented and not divided by its gcd."""
     base = face[-1][1:]
     axes = {g.index(1) - 1 for g in face if not g[0]}
     cols = [k for k in range(len(base)) if k not in axes]

@@ -211,26 +211,42 @@ def test_morse_runs_no_lp(capsys, monkeypatch, seed):
 
 
 def test_newton_runs_no_lp(capsys, monkeypatch):
+    """A Newton polyhedron, and the Newton polytope of a support in 2D, run
+    no LP; any other Newton polytope runs one membership per support
+    point."""
     from newtoncert import lp, polytope
     from newtoncert.poly import parse_polynomial
 
     def no_lp(*args):
         raise AssertionError("a Newton hull ran an LP")
 
-    solve = lp.solve_eq_nonneg
+    solve, contains = lp.solve_eq_nonneg, polytope.contains_point
     monkeypatch.setattr(lp, "solve_eq_nonneg", no_lp)
     monkeypatch.setattr(polytope, "contains_point", no_lp)
     f = parse_polynomial("x1*x2 + x1^5 + x2^7 + x1^2*x2^3*x3 + x3^4", 3)
     corners = ((0, 0, 4), (0, 7, 0), (1, 1, 0), (5, 0, 0))
     assert polytope.newton_polyhedron(f).generators == corners
-    assert polytope.newton_polytope(f).generators == tuple(sorted(corners + ((2, 3, 1),)))
     # a quadratic form: its support lies in sum(x) = 2, and x1*x3 is a midpoint
     q = parse_polynomial("x1^2 + x1*x2 + x2*x3 + x3^2 + x1*x3", 3)
     assert polytope.newton_polytope(q).generators == ((0, 0, 2), (0, 1, 1), (1, 1, 0), (2, 0, 0))
+    assert polytope.newton_polyhedron(q).generators == ((0, 0, 2), (0, 1, 1), (1, 1, 0), (2, 0, 0))
     assert polytope.reduce_to_vertices([(2, 0), (1, 1), (0, 2)], 2, False) == ((0, 2), (2, 0))
     for flag in ([], ["--polytope"]):
-        code, out = _capture(capsys, ["newton", "--n", "2", "--poly", "x1*x2 + x1^5 + x2^7", *flag])
-        assert code == 0 and json.loads(out)["generators"] == [[0, 7], [1, 1], [5, 0]]
+        code, out = _capture(capsys, ["newton", "--n", "2", "--poly", "x1^2 + x1*x2 + x2^2", *flag])
+        assert code == 0 and json.loads(out)["generators"] == [[0, 2], [2, 0]]
+    code, out = _capture(capsys, ["newton", "--n", "2", "--poly", "x1*x2 + x1^5 + x2^7"])
+    assert code == 0 and json.loads(out)["generators"] == [[0, 7], [1, 1], [5, 0]]
+
+    calls = []
+    monkeypatch.undo()
+    monkeypatch.setattr(polytope, "contains_point", lambda *args: calls.append(1) or contains(*args))
+    assert polytope.newton_polytope(f).generators == tuple(sorted(corners + ((2, 3, 1),)))
+    assert len(calls) == 5  # one per support point
+    del calls[:]
+    code, out = _capture(capsys, ["newton", "--n", "2", "--poly", "x1*x2 + x1^5 + x2^7",
+                                  "--polytope"])
+    assert code == 0 and json.loads(out)["generators"] == [[0, 7], [1, 1], [5, 0]]
+    assert len(calls) == 3
 
     calls = []
     monkeypatch.undo()

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fm_oracle import fm_contains
-from oracles import affinely_independent, cofactor_normal, lp_vertices
+from oracles import cofactor_normal, fm_vertices, lp_vertices
 from newtoncert import polytope
 from newtoncert.kouchnirenko import milnor_number
 from newtoncert.morse import quadratic_restriction
@@ -98,21 +98,24 @@ def test_reduce_to_vertices_checks_n():
     assert reduce_to_vertices([(2, 0), (0, 2), (1, 1)], 2, True) == ((0, 2), (2, 0))
 
 
-def _seeded_hull_inputs(rng, n, orthant, hulls):
-    """Point lists for _hull: sorted for the orthant, else reordered so that
-    the first n + 1 points are affinely independent, as _hull requires."""
-    while hulls:
-        pts = sorted({tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 16))})
-        if not orthant:
-            start = []
-            for p in pts:
-                if affinely_independent(start + [p]):
-                    start.append(p)
-            if len(start) < n + 1:
-                continue
-            pts = start + [p for p in pts if p not in start]
-        hulls -= 1
-        yield pts
+def test_plain_vertices_match_fourier_motzkin():
+    """Seeded plain supports of at most 9 points, n = 1..6: random ones, ones
+    in 2D (the pair rule), a 3 x 3 grid on a 2-plane and 4 collinear points
+    keep the vertices that Fourier-Motzkin elimination finds, which shares
+    no code with the LP that a support outside 2D runs."""
+    rng = random.Random(913)
+    for n in [1, 2, 3, 4, 5, 6] * 15:
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        base = [rng.randint(4, 7) for _ in range(n)]
+        u, v = ([rng.randint(-1, 2) for _ in range(n)] for _ in range(2))
+        for support in (
+            [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 9))],
+            [pair_point(n, i, j) for i, j in rng.sample(pairs, rng.randint(1, min(9, len(pairs))))],
+            [tuple(b + s * a + t * c for b, a, c in zip(base, u, v))
+             for s in range(-1, 2) for t in range(-1, 2)],
+            [tuple(b + s * a for b, a in zip(base, u)) for s in range(-1, 3)],
+        ):
+            assert reduce_to_vertices(support, n, False) == fm_vertices(support), support
 
 
 def _dot(a, b):
@@ -120,54 +123,29 @@ def _dot(a, b):
 
 
 def test_hull_normals_are_primitive_supporting_and_match_cofactors():
-    """Every stored normal of seeded plain and orthant hulls, n = 1..6, has
-    gcd 1, vanishes on its face, is >= 0 on every generator and ray and
-    > 0 on the interior ray, and is the cofactor normal oriented by that ray
-    and divided by its gcd.  Only an orthant support holding the origin
-    stores no facet."""
+    """Every stored normal of seeded orthant hulls, n = 1..6, has gcd 1,
+    vanishes on its face, is >= 0 on every generator and ray and > 0 on the
+    interior ray, and is the cofactor normal oriented by that ray and
+    divided by its gcd.  Only a support holding the origin stores no
+    facet."""
     rng = random.Random(909)
     for n in range(1, 7):
-        for orthant in (False, True):
-            for pts in _seeded_hull_inputs(rng, n, orthant, 12):
-                gens = [(0,) + tuple(int(k == a) for k in range(n)) for a in range(n) if orthant]
-                gens += [(1,) + p for p in pts]
-                inner = [sum(col) for col in zip(*gens[: n + 1])]
-                facets = polytope._hull(pts, orthant)
-                assert facets or (orthant and (0,) * n in pts)
-                for face, h in facets.items():
-                    assert math.gcd(*h) == 1
-                    assert all(_dot(h, g) == 0 for g in face)
-                    assert all(_dot(h, g) >= 0 for g in gens)
-                    assert _dot(h, inner) > 0
-                    c = cofactor_normal(face)
-                    c = c if _dot(c, inner) > 0 else tuple(-v for v in c)
-                    assert tuple(v // math.gcd(*c) for v in c) == h, face
-
-
-def test_hull_takes_cofactors_for_the_start_simplex_only(monkeypatch):
-    """A plain hull takes cofactors for its start simplex only; the orthant
-    start is in closed form, so an orthant hull takes none."""
-    cofactor = polytope._normal
-    calls = []
-
-    def counted(face):
-        calls.append(face)
-        return cofactor(face)
-
-    monkeypatch.setattr(polytope, "_normal", counted)
-    rng = random.Random(910)
-    for n in (3, 4, 5):
-        for _ in range(6):
-            support = {tuple(rng.randint(2, 6) if k == a else 0 for k in range(n)) for a in range(n)}
-            support |= {tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(14)}
-            del calls[:]
-            assert polytope._hull(sorted(support), orthant=True)
-            assert calls == []
-        for pts in _seeded_hull_inputs(rng, n, False, 6):
-            del calls[:]
+        for _ in range(12):
+            pts = sorted({tuple(rng.randint(0, 5) for _ in range(n))
+                          for _ in range(rng.randint(1, 16))})
+            gens = [(0,) + tuple(int(k == a) for k in range(n)) for a in range(n)]
+            gens += [(1,) + p for p in pts]
+            inner = [sum(col) for col in zip(*gens[: n + 1])]
             facets = polytope._hull(pts)
-            assert len(facets) >= n + 1
-            assert 1 <= len(calls) <= n + 1, (n, len(calls), len(facets))
+            assert facets or (0,) * n in pts
+            for face, h in facets.items():
+                assert math.gcd(*h) == 1
+                assert all(_dot(h, g) == 0 for g in face)
+                assert all(_dot(h, g) >= 0 for g in gens)
+                assert _dot(h, inner) > 0
+                c = cofactor_normal(face)
+                c = c if _dot(c, inner) > 0 else tuple(-v for v in c)
+                assert tuple(v // math.gcd(*c) for v in c) == h, face
 
 
 def _compact_volume(facets):
@@ -201,28 +179,32 @@ def test_hull_is_invariant_under_point_order(monkeypatch):
             if not support:
                 continue
             pts = sorted(support)
-            facets = hull(pts, orthant=True)
+            facets = hull(pts)
             vertices = polytope._hull_vertices(facets, n)
             assert vertices == lp_vertices(pts, n, True)
             f = SparsePolynomial(n, {p: rng.randint(1, 9) for p in pts})
             mu = mu_of(f)
             for _ in range(3):
-                shuffled = hull(rng.sample(pts, len(pts)), orthant=True)
+                shuffled = hull(rng.sample(pts, len(pts)))
                 assert all(list(face) == sorted(face) for face in shuffled)
                 assert polytope._hull_vertices(shuffled, n) == vertices
                 assert _compact_volume(shuffled) == _compact_volume(facets)
             with monkeypatch.context() as m:
                 m.setattr(kouchnirenko, "_hull",
-                          lambda gens, orthant: hull(rng.sample(gens, len(gens)), orthant))
+                          lambda gens: hull(rng.sample(gens, len(gens))))
                 assert mu_of(f) == mu, pts
 
 
-def test_degenerate_hull_facet_names_coordinates():
-    """Collinear start points leave a facet with no interior side; the error
-    names the facet by its generators, not by their labels."""
+def test_degenerate_hull_facet_names_coordinates(monkeypatch):
+    """A facet whose normal has no interior side stops the hull, and the
+    error names the facet by its generators, not by their labels.  The
+    closed-form start normals all face inward, so the test negates the
+    products in the check against the interior ray, as if the first start
+    normal faced outward."""
+    monkeypatch.setattr(polytope, "mul", lambda a, b: -a * b)
     with pytest.raises(RuntimeError,
-                       match=re.escape("degenerate hull facet ((1, 0, 0), (1, 1, 1))")):
-        polytope._hull([(0, 0), (1, 1), (2, 2), (0, 3)])
+                       match=re.escape("degenerate hull facet ((0, 0, 1), (1, 0, 2))")):
+        polytope._hull([(0, 2), (2, 0)])
 
 
 def test_orthant_hull_stores_only_compact_facets():
@@ -240,7 +222,7 @@ def test_orthant_hull_stores_only_compact_facets():
             if not support:
                 continue
             pts = sorted(support)
-            facets = polytope._hull(pts, orthant=True)
+            facets = polytope._hull(pts)
             assert facets
             for h in facets.values():
                 assert h[0] < 0
@@ -254,8 +236,8 @@ def test_orthant_support_holding_the_origin_is_the_orthant():
     for n in (1, 2, 4):
         origin = (0,) * n
         pts = [tuple(3 * (k == a) for k in range(n)) for a in range(n)] + [(1,) * n, origin]
-        assert polytope._hull(pts, orthant=True) == {}
-        assert polytope._hull(pts[::-1], orthant=True) == {}
+        assert polytope._hull(pts) == {}
+        assert polytope._hull(pts[::-1]) == {}
         assert reduce_to_vertices(pts, n, True) == (origin,)
         f = SparsePolynomial(n, {p: 1 for p in pts})
         assert newton_polyhedron(f).generators == (origin,)
@@ -264,8 +246,8 @@ def test_orthant_support_holding_the_origin_is_the_orthant():
 def test_orthant_hull_n1_reaches_the_empty_ridge():
     """At n = 1 the one ridge is empty; a larger power given first is
     replaced across it by the smaller one."""
-    assert polytope._hull([(5,), (2,)], orthant=True) == {((1, 2),): (-2, 1)}
-    assert polytope._hull([(5,), (2,), (0,)], orthant=True) == {}
+    assert polytope._hull([(5,), (2,)]) == {((1, 2),): (-2, 1)}
+    assert polytope._hull([(5,), (2,), (0,)]) == {}
     assert reduce_to_vertices([(5,), (2,), (7,)], 1, True) == ((2,),)
 
 
