@@ -15,7 +15,9 @@ RationalLike = Union[int, Fraction]
 
 
 def exact_fraction(value) -> Fraction:
-    """Convert an int/Fraction to Fraction, rejecting floats."""
+    """Convert an int/Fraction to Fraction, rejecting floats; a Fraction is kept."""
+    if value.__class__ is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating-point values are not allowed in exact arithmetic")
     return Fraction(value)

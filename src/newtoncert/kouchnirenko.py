@@ -11,10 +11,13 @@ of N, triangulated, and the points on them are the vertices of N.
 
 For a convenient N each N cap R^I is a face of N, so the diagram of every
 coordinate subspace is triangulated by the faces of those simplices lying
-in R^I.  All volumes are exact rationals; the Milnor number is the
-alternating factorial-weighted sum over the coordinate-subspace volumes.
-Before it is formed, the compact simplices are checked to close up into
-a disk bounded by the coordinate hyperplanes.
+in R^I; only subsets of the points with a zero coordinate can be.  All
+volumes are exact rationals; the Milnor number is the alternating
+factorial-weighted sum over the coordinate-subspace volumes.  Before it
+is formed, the compact simplices are checked to close up into a disk
+bounded by the coordinate hyperplanes.  When f = g(x_A) + h(x_B) in
+disjoint variables, mu(f) = mu(g) * mu(h) for any coefficients (Thom-
+Sebastiani), so each such block gets its own, smaller diagram.
 
 The result is conditional on the standard nondegeneracy of the input
 (face restrictions without critical torus zeros); this module exposes the
@@ -30,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 from typing import Optional, Sequence, Tuple
 
 from ._record import Record
@@ -95,21 +98,55 @@ def volumes(region: UnderDiagramRegion) -> VolumeVector:
 
     A face of a diagram simplex with i vertices spanning exactly i axes I
     is a simplex of the triangulated diagram of N cap R^I; the cone from the
-    origin over it has volume |det| / i!.
+    origin over it has volume |det| / i!.  Each simplex is one for all n
+    axes; for i < n only subsets of its vertices with a zero coordinate
+    can be, so only those are walked, and a shared face counts once.
     """
     n = region.n
+    totals = [0] * n
     faces = set()
     for simplex in region.simplices:
-        for i in range(1, n + 1):
-            for face in combinations(sorted(simplex[1:]), i):
-                axes = tuple(sorted({k for p in face for k, c in enumerate(p) if c}))
-                if len(axes) == i:
-                    faces.add((axes, face))
-    totals = [0] * n
-    for axes, face in faces:
-        det = integer_determinant([[p[k] for k in axes] for p in face])
-        totals[len(axes) - 1] += abs(det)
+        totals[n - 1] += abs(integer_determinant(simplex[1:]))
+        on_hyperplanes = sorted(p for p in simplex[1:] if 0 in p)
+        masks = {p: sum(1 << k for k, c in enumerate(p) if c) for p in on_hyperplanes}
+        for i in range(1, n):
+            for face in combinations(on_hyperplanes, i):
+                axes = 0
+                for p in face:
+                    axes |= masks[p]
+                if axes.bit_count() == i:
+                    faces.add(face)
+    for face in faces:
+        axes = [k for k in range(n) if any(p[k] for p in face)]
+        totals[len(face) - 1] += abs(integer_determinant([[p[k] for k in axes] for p in face]))
     return VolumeVector(tuple(Fraction(t, factorial(i)) for i, t in enumerate(totals, 1)))
+
+
+def _blocks(f: SparsePolynomial):
+    """f as polynomials in disjoint sets of variables that sum to f: the
+    components of the graph joining two variables when a term holds both,
+    merged as bitmasks over all terms (not only the diagram's vertices)."""
+    n = f.n_vars
+    blocks = []
+    for exp in f._terms:
+        block = 0
+        for k, e in enumerate(exp):
+            if e:
+                block |= 1 << k
+        rest = []
+        for other in blocks:
+            if other & block:
+                block |= other
+            else:
+                rest.append(other)
+        if block == (1 << n) - 1:
+            return [f]
+        blocks = rest + [block]
+    covered = sum(blocks)
+    blocks += [1 << k for k in range(n) if not covered >> k & 1]  # in no term
+    variables = [[k for k in range(n) if block >> k & 1] for block in blocks]
+    return [SparsePolynomial(len(ks), {tuple(e[k] for k in ks): c for e, c in f._terms.items()
+                                       if any(e[k] for k in ks)}) for ks in variables]
 
 
 def milnor_number(f: SparsePolynomial):
@@ -120,13 +157,24 @@ def milnor_number(f: SparsePolynomial):
     verified here.  A Morse point (poly.is_morse) gives 1 before any hull;
     a formula value of 1 at a singular Hessian is a ValueError, since then
     mu >= 2.  Raises RuntimeError if the diagram's simplices do not close up.
+    Over blocks of variables (_blocks), mu is the product; a non-Morse block
+    with no pure power on some axis makes it INFINITE before any diagram.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if is_morse(f):
         return 1
-    support = f.support()
-    N = LatticePolytope(f.n_vars, support, orthant_recession=True)
+    blocks = _blocks(f)
+    if len(blocks) > 1:
+        blocks = [g for g in blocks if not is_morse(g)]
+        if any(_axis_intercepts(g.support(), g.n_vars) is None for g in blocks):
+            return INFINITE
+    return prod(map(_diagram_milnor, blocks))
+
+
+def _diagram_milnor(f: SparsePolynomial):
+    """milnor_number of a non-Morse f from its Newton diagram."""
+    N = LatticePolytope(f.n_vars, f.support(), orthant_recession=True)
     try:
         region = under_diagram_region(N)
     except UnboundedRegionError:

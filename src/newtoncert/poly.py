@@ -161,9 +161,9 @@ def _tokenize(text: str):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() reads; isdigit() also takes '²'
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos].isdecimal():
                 pos += 1
             tokens.append(("int", int(text[start:pos]), start))
             continue

@@ -18,12 +18,16 @@ witness and the certificate by minimal-polytope reduction are the proof's
 constructions, kept here as references: no route of the package runs
 them.  The last is the second route that certify is checked against: it
 reads the permutation off the minimal sub-polytope's pair graph, not off
-a matching.
+a matching.  The all-subsets volumes never prune the face walk: they try
+every vertex subset of every diagram simplex as a coordinate face.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import factorial
 
 from fm_oracle import fm_contains
+from newtoncert.kouchnirenko import VolumeVector
 from newtoncert.poly import integer_determinant
 from newtoncert.polytope import (
     ConvexCombination,
@@ -260,3 +264,22 @@ def grid_area(chain, m):
     for i in range(a * m):
         count += (height(Fraction(i + 1, m)) * m).__floor__()
     return Fraction(count, m * m)
+
+
+def all_subsets_volumes(region):
+    """kouchnirenko.volumes without pruning: all 2^n - 1 vertex subsets of
+    every simplex are tried, and each one with i points spanning exactly i
+    axes counts once, with |det| / i!."""
+    n = region.n
+    faces = set()
+    for simplex in region.simplices:
+        for i in range(1, n + 1):
+            for face in combinations(sorted(simplex[1:]), i):
+                axes = tuple(sorted({k for p in face for k, c in enumerate(p) if c}))
+                if len(axes) == i:
+                    faces.add((axes, face))
+    totals = [0] * n
+    for axes, face in faces:
+        det = integer_determinant([[p[k] for k in axes] for p in face])
+        totals[len(axes) - 1] += abs(det)
+    return VolumeVector(tuple(Fraction(t, factorial(i)) for i, t in enumerate(totals, 1)))

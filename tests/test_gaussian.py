@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from newtoncert.gaussian import GR_ONE, GR_ZERO, GaussianRational
+from newtoncert.gaussian import GR_ONE, GR_ZERO, GaussianRational, exact_fraction
 
 
 def _random_scalar(rng):
@@ -83,6 +83,22 @@ def test_floats_rejected():
         GaussianRational(0.5)
     with pytest.raises(TypeError):
         GaussianRational(1, 0.25)
+
+
+def test_exact_fraction_keeps_a_fraction():
+    """A Fraction comes back as the same object; a subclass is converted to
+    a plain Fraction, ints convert, and floats stay refused."""
+
+    class Half(Fraction):
+        pass
+
+    q = Fraction(3, 7)
+    assert exact_fraction(q) is q
+    h = exact_fraction(Half(1, 2))
+    assert type(h) is Fraction and h == Fraction(1, 2)
+    assert type(exact_fraction(5)) is Fraction and exact_fraction(5) == 5
+    with pytest.raises(TypeError):
+        exact_fraction(0.5)
 
 
 def test_str_forms():

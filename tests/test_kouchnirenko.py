@@ -21,9 +21,9 @@ from newtoncert.kouchnirenko import (
     under_diagram_region,
     volumes,
 )
-from newtoncert.poly import SparsePolynomial, is_morse, parse_polynomial
+from newtoncert.poly import SparsePolynomial, integer_determinant, is_morse, parse_polynomial
 from newtoncert.polytope import LatticePolytope, newton_polyhedron, reduce_to_vertices
-from oracles import lp_vertices
+from oracles import all_subsets_volumes, lp_vertices
 
 # (n, poly, mu) on 40 seeded convenient diagrams, n = 2..5, up to 20
 # vertices, each with interior points, lattice points on segments between
@@ -235,6 +235,143 @@ def test_milnor_pinned_table():
     for row in MILNOR_TABLE:
         f = parse_polynomial(row["poly"], row["n"])
         assert milnor_number(f) == row["mu"], row
+
+
+GOLDEN_POOL = json.loads(
+    (Path(__file__).parents[1] / "bench" / "golden" / "milnor_pool.json").read_text())["diagrams"]
+DEGENERATE = ("the Newton diagram is degenerate: it gives mu = 1 at a singular Hessian, "
+              "so mu >= 2")
+
+
+def _diagrams():
+    """Convenient polynomials of the pinned table, the golden pool and seeded
+    supports with interior points (n = 2..5)."""
+    for row in MILNOR_TABLE + GOLDEN_POOL:
+        yield parse_polynomial(row["poly"], row["n"])
+    rng = random.Random(2207)
+    for n in [2, 3, 4, 5] * 6:
+        yield SparsePolynomial(n, {p: 1 for p in _convenient_support(rng, n)})
+
+
+def test_volumes_match_all_subsets_oracle():
+    count = 0
+    for f in _diagrams():
+        region = under_diagram_region(newton_polyhedron(f))
+        assert volumes(region) == all_subsets_volumes(region), f
+        count += 1
+    assert count == len(MILNOR_TABLE) + 36 + 24
+
+
+def test_volumes_walk_only_faces_on_coordinate_hyperplanes(monkeypatch):
+    """One determinant per simplex plus one per distinct coordinate face of
+    dimension < n, and the walk visits only vertex subsets whose points all
+    have a zero coordinate, never the 2^n - 1 subsets of every simplex."""
+    from newtoncert import kouchnirenko
+
+    counts = Counter()
+
+    def counting_determinant(rows):
+        counts["determinants"] += 1
+        return integer_determinant(rows)
+
+    def counting_combinations(points, i):
+        for face in itertools.combinations(points, i):
+            counts["subsets"] += 1
+            yield face
+
+    monkeypatch.setattr(kouchnirenko, "integer_determinant", counting_determinant)
+    monkeypatch.setattr(kouchnirenko, "combinations", counting_combinations)
+    pruned = 0
+    for f in _diagrams():
+        region = under_diagram_region(newton_polyhedron(f))
+        n = region.n
+        low_faces = set()
+        walk = 0
+        for simplex in region.simplices:
+            points = sorted(simplex[1:])
+            for i in range(1, n):
+                for face in itertools.combinations(points, i):
+                    if sum(any(p[k] for p in face) for k in range(n)) == i:
+                        low_faces.add(face)
+            walk += sum(math.comb(sum(0 in p for p in points), i) for i in range(1, n))
+        counts.clear()
+        volumes(region)
+        assert counts["determinants"] == len(region.simplices) + len(low_faces), f
+        assert counts["subsets"] == walk, f
+        pruned += walk < len(region.simplices) * (2 ** n - 1)
+    assert pruned >= 60, pruned
+
+
+def test_milnor_multiplies_over_blocks(monkeypatch):
+    """A2 + D4 + E6 in disjoint variables, with a Morse block x6*x7 that has
+    no pure power: mu = 2 * 4 * 6, one diagram per non-Morse block (E6 =
+    x4^3 + x5^4 splits again)."""
+    from newtoncert import kouchnirenko
+
+    for n, text, mu in ((1, "x1^3", 2), (2, "x1^2*x2 + x2^3 + x1^4", 4), (2, "x1^3 + x2^4", 6)):
+        assert milnor_number(parse_polynomial(text, n)) == mu
+    diagram_calls = []
+    diagram_milnor = kouchnirenko._diagram_milnor
+    monkeypatch.setattr(kouchnirenko, "_diagram_milnor",
+                        lambda g: diagram_calls.append(g.n_vars) or diagram_milnor(g))
+    f = parse_polynomial("x1^3 + x2^2*x3 + x3^3 + x2^4 + x4^3 + x5^4 + x6*x7", 7)
+    assert milnor_number(f) == 48
+    assert sorted(diagram_calls) == [1, 1, 1, 2]
+
+
+def test_milnor_morse_block_without_pure_power():
+    """The x2*x3 block is Morse, so mu = 1 * 1 * 6; the whole diagram has no
+    pure power of x3 and used to give "infinite"."""
+    f = parse_polynomial("9*x1^2 + 9*x2*x3 + 5*x2^7 + 5*x4^7", 4)
+    assert not is_morse(f)
+    assert milnor_number(f) == 6
+
+
+def test_milnor_infinite_block_decided_before_any_diagram(monkeypatch):
+    """The D4 normal form x3^2*x4 + x4^3 has no pure power of x3: mu is
+    infinite before the degenerate A2 block's diagram is built."""
+    from newtoncert import kouchnirenko
+
+    def no_diagram(N):
+        raise AssertionError("under_diagram_region called")
+
+    monkeypatch.setattr(kouchnirenko, "under_diagram_region", no_diagram)
+    f = parse_polynomial("x1^2 - 2*x1*x2 + x2^2 + x1^3 + x3^2*x4 + x4^3", 4)
+    assert milnor_number(f) == INFINITE
+
+
+@pytest.mark.parametrize("n, poly", [
+    (2, "x1^2 - 2*x1*x2 + x2^2 + x1^3"),
+    (4, "x1^2 - 2*x1*x2 + x2^2 + x1^3 + x3^3 + x4^4"),
+    (4, "x1^2 - 2*x1*x2 + x2^2 + x1^3 + x3*x4"),
+])
+def test_milnor_degenerate_block_is_an_error(n, poly, capsys):
+    """The A2 example (x1 - x2)^2 + x1^3 gives 1 from its diagram at a
+    singular Hessian, alone, next to x3^3 + x4^4 (the diagram of the whole
+    f gave a wrong 6) or next to the Morse block x3*x4 (the whole f has no
+    pure power of x3 and gave a wrong "infinite"): exit 1 with the same text."""
+    assert cli.run(["milnor", "--n", str(n), "--poly", poly]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": DEGENERATE}
+
+
+def test_milnor_sum_of_cubes_splits():
+    f = parse_polynomial(" + ".join(f"x{k}^3" for k in range(1, 21)), 20)
+    start = time.perf_counter()
+    assert milnor_number(f) == 2 ** 20
+    assert time.perf_counter() - start < 1.0
+
+
+def test_milnor_morse_input_builds_no_blocks(monkeypatch):
+    from newtoncert import kouchnirenko
+
+    def no_blocks(f):
+        raise AssertionError("_blocks called")
+
+    monkeypatch.setattr(kouchnirenko, "_blocks", no_blocks)
+    for n, text in ((3, "x1^2 + x2^2 + x3^2"), (2, "x1*x2 + x1^3"),
+                    (2, "(1+2i)*x1^2 + (3-1i)*x1*x2 + x1*x2^2"),
+                    (4, "x1*x2 + x3*x4 + x1^5 + x3^7")):
+        assert milnor_number(parse_polynomial(text, n)) == 1
 
 
 def _weighted_facet(intercepts):

@@ -68,6 +68,11 @@ def test_parse_error_positions():
         parse_polynomial("x1 +", 2)
     with pytest.raises(ParseError):
         parse_polynomial("2x1", 2)  # missing '*'
+    # '²' is a digit to str.isdigit but not to int(): a positioned ParseError
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("x1^\u00b2 + x2^3", 2)
+    assert str(exc.value) == "unexpected character '\u00b2' (at position 3)"
+    assert exc.value.position == 3
 
 
 def test_parse_variable_index_errors():
