@@ -54,6 +54,8 @@ def _parse_covector(text: str):
             entries.append(Fraction(v))
         except ZeroDivisionError:
             raise ValueError(f"covector entry {v!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"covector entry {v!r} is not a rational number") from None
     return entries
 
 

@@ -17,15 +17,15 @@ factorial-weighted sum over the coordinate-subspace volumes.  Before it
 is formed, the compact simplices are checked to close up into a disk
 bounded by the coordinate hyperplanes.  When f = g(x_A) + h(x_B) in
 disjoint variables, mu(f) = mu(g) * mu(h) for any coefficients (Thom-
-Sebastiani), so each such block gets its own, smaller diagram.
+Sebastiani), so each block is decided alone: Morse, infinite or by diagram.
 
 The result is conditional on the standard nondegeneracy of the input
 (face restrictions without critical torus zeros); this module exposes the
 face restrictions but does not check that condition.  One case needs no
-diagram: mu = 1 exactly when the Hessian at the origin is nonsingular (the
-Morse lemma), so that answer is poly.is_morse, the same exact determinant
-test that the morse module uses, and a diagram that gives 1 at a singular
-Hessian is rejected as degenerate.
+diagram: a block has mu = 1 exactly when its Hessian at the origin is
+nonsingular (the Morse lemma), so that answer is poly.is_morse, the same
+exact determinant test that the morse module uses, and a diagram that
+gives 1 at a singular Hessian is rejected as degenerate.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Tuple
 
 from ._record import Record
 from .gaussian import exact_fraction
-from .poly import SparsePolynomial, integer_determinant, is_morse
+from .poly import SparsePolynomial, _require_singular, integer_determinant, is_morse
 from .polytope import LatticePolytope, Point, _hull, _hull_vertices
 
 INFINITE = float("inf")
@@ -154,31 +154,28 @@ def milnor_number(f: SparsePolynomial):
 
     mu = n! V_n - (n-1)! V_{n-1} + ... + (-1)^(n-1) V_1 + (-1)^n.
     Exact for inputs satisfying the nondegeneracy condition, which is not
-    verified here.  A Morse point (poly.is_morse) gives 1 before any hull;
-    a formula value of 1 at a singular Hessian is a ValueError, since then
-    mu >= 2.  Raises RuntimeError if the diagram's simplices do not close up.
-    Over blocks of variables (_blocks), mu is the product; a non-Morse block
-    with no pure power on some axis makes it INFINITE before any diagram.
+    verified here.  mu is the product over the blocks of variables
+    (_blocks).  Every term lies in one block, so the Hessian at 0 is
+    block-diagonal and f is Morse exactly when every block is: a Morse
+    block (poly.is_morse) gives 1 before any hull, as does the empty
+    product.  A non-Morse block with no pure power on some axis makes mu
+    INFINITE before any diagram; _diagram_milnor takes the others.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if is_morse(f):
-        return 1
-    blocks = _blocks(f)
-    if len(blocks) > 1:
-        blocks = [g for g in blocks if not is_morse(g)]
-        if any(_axis_intercepts(g.support(), g.n_vars) is None for g in blocks):
-            return INFINITE
+    _require_singular(f._terms)
+    blocks = [g for g in _blocks(f) if not is_morse(g)]
+    if any(_axis_intercepts(g.support(), g.n_vars) is None for g in blocks):
+        return INFINITE
     return prod(map(_diagram_milnor, blocks))
 
 
 def _diagram_milnor(f: SparsePolynomial):
-    """milnor_number of a non-Morse f from its Newton diagram."""
+    """mu of a non-Morse f with a pure power on every axis, from its diagram:
+    a ValueError if that gives 1 (mu >= 2 at a singular Hessian), and a
+    RuntimeError if the diagram's simplices do not close up."""
     N = LatticePolytope(f.n_vars, f.support(), orthant_recession=True)
-    try:
-        region = under_diagram_region(N)
-    except UnboundedRegionError:
-        return INFINITE
+    region = under_diagram_region(N)
     n = f.n_vars
     # the simplices tile a disk: each ridge off the coordinate hyperplanes bounds two
     ridges = Counter(r for s in region.simplices for r in combinations(sorted(s[1:]), n - 1))

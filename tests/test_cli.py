@@ -143,6 +143,15 @@ def test_face_covector_zero_denominator(capsys):
     assert json.loads(out) == {"error": "covector entry '1/0' has a zero denominator"}
 
 
+@pytest.mark.parametrize("w, entry", [
+    ("nan,1", "nan"), ("", ""), ("abc,1", "abc"), ("1/2/3,1", "1/2/3"),
+])
+def test_face_covector_not_rational(capsys, w, entry):
+    code, out = _capture(capsys, ["face", "--n", "2", "--poly", "x1^2", "--w", w])
+    assert code == 1
+    assert json.loads(out) == {"error": f"covector entry {entry!r} is not a rational number"}
+
+
 def test_face_covector_exponent_rejected_before_fraction(capsys, monkeypatch):
     # Fraction("1e2000000") would build a 2,000,000-digit integer, so an
     # exponent is refused before any Fraction exists

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from newtoncert import cli, lp, morse, polytope
+from newtoncert.gaussian import GaussianRational
 from newtoncert.kouchnirenko import (
     INFINITE,
     UnboundedRegionError,
@@ -126,8 +127,8 @@ def test_no_degree_2_term_builds_no_hessian(monkeypatch):
 
 
 def test_milnor_sum_of_squares_is_fast():
-    """The sum of squares answers from its Hessian, without the 2^n faces of
-    the diagram simplex."""
+    """The sum of squares splits into one-variable Morse blocks, without the
+    2^n faces of the diagram simplex."""
     for n in range(1, 21):
         f = parse_polynomial(" + ".join(f"x{k}^2" for k in range(1, n + 1)), n)
         start = time.perf_counter()
@@ -361,17 +362,60 @@ def test_milnor_sum_of_cubes_splits():
     assert time.perf_counter() - start < 1.0
 
 
-def test_milnor_morse_input_builds_no_blocks(monkeypatch):
+def test_milnor_morse_input_builds_no_diagram(monkeypatch):
+    """A Morse f gives 1 from its blocks' Hessians alone, connected, split,
+    complex or at n = 40, with no hull."""
     from newtoncert import kouchnirenko
 
-    def no_blocks(f):
-        raise AssertionError("_blocks called")
+    def no_diagram(N):
+        raise AssertionError("under_diagram_region called")
 
-    monkeypatch.setattr(kouchnirenko, "_blocks", no_blocks)
+    monkeypatch.setattr(kouchnirenko, "under_diagram_region", no_diagram)
     for n, text in ((3, "x1^2 + x2^2 + x3^2"), (2, "x1*x2 + x1^3"),
                     (2, "(1+2i)*x1^2 + (3-1i)*x1*x2 + x1*x2^2"),
-                    (4, "x1*x2 + x3*x4 + x1^5 + x3^7")):
+                    (4, "x1*x2 + x3*x4 + x1^5 + x3^7"),
+                    (40, " + ".join(f"x{k}^2" for k in range(1, 41)))):
         assert milnor_number(parse_polynomial(text, n)) == 1
+
+
+def test_no_hessian_larger_than_its_block(monkeypatch):
+    """The Morse test runs per block, so the sum of squares and a cube takes
+    31 Hessians of one variable, never the 31 x 31 one of the whole f."""
+    from newtoncert import poly
+
+    sizes = []
+    hessian = poly.hessian_at_zero
+    monkeypatch.setattr(poly, "hessian_at_zero",
+                        lambda f: sizes.append(f.n_vars) or hessian(f))
+    f = parse_polynomial(" + ".join([f"x{k}^2" for k in range(1, 31)] + ["x31^3"]), 31)
+    assert milnor_number(f) == 2
+    assert sizes and max(sizes) == 1, sizes
+
+
+def test_morse_exactly_when_every_block_is():
+    """Seeded, n = 1..5: the Hessian at 0 is block-diagonal over _blocks, so
+    f is Morse iff each block is, with complex coefficients and variables
+    in no term."""
+    from newtoncert import kouchnirenko
+
+    rng = random.Random(2323)
+    coefficients = (1, -2, 3, Fraction(1, 3), GaussianRational(1, 2), GaussianRational(0, -1))
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        box = [e for e in itertools.product(range(4), repeat=n) if 2 <= sum(e) <= 3]
+        picked = rng.sample(box, rng.randint(1, min(6, len(box))))
+        terms = {e: rng.choice(coefficients) for e in picked}
+        if rng.random() < 0.3:  # squares make Morse blocks common
+            terms.update({tuple(2 * (k == a) for k in range(n)): rng.choice(coefficients)
+                          for a in range(n)})
+        f = SparsePolynomial(n, terms)
+        blocks = kouchnirenko._blocks(f)
+        assert is_morse(f) == all(is_morse(g) for g in blocks), f.render()
+        seen[is_morse(f), len(blocks) > 1] += 1
+        seen["absent"] += any(not any(e[k] for e in f._terms) for k in range(n))
+    assert min(seen[True, True], seen[False, True], seen[True, False]) >= 20, seen
+    assert seen["absent"] >= 20, seen
 
 
 def _weighted_facet(intercepts):
