@@ -7,17 +7,22 @@ triangulation of the compact facets of N.  Those come from the exact
 integer hull of polytope._hull, run on the generators of N and the orthant
 rays: it leaves the coordinate facets and the face at infinity implicit,
 so on a convenient N the facets it stores are exactly the compact facets
-of N, triangulated, and the points on them are the vertices of N.
+of N, triangulated, and the points on them are the vertices of N.  Each
+stored facet carries its cofactor normal, built by rotation and an exact
+Pluecker division, whose constant term is the determinant of the facet's
+points: n! times the volume of its cone, with no determinant taken.
 
 For a convenient N each N cap R^I is a face of N, so the diagram of every
 coordinate subspace is triangulated by the faces of those simplices lying
-in R^I; only subsets of the points with a zero coordinate can be.  All
-volumes are exact rationals; the Milnor number is the alternating
-factorial-weighted sum over the coordinate-subspace volumes.  Before it
-is formed, the compact simplices are checked to close up into a disk
-bounded by the coordinate hyperplanes.  When f = g(x_A) + h(x_B) in
-disjoint variables, mu(f) = mu(g) * mu(h) for any coefficients (Thom-
-Sebastiani), so each block is decided alone: Morse, infinite or by diagram.
+in R^I; only subsets of the points with a zero coordinate can be, and
+each such face's determinant is a minor of its simplex's, or that
+determinant divided by the complementary minor.  All volumes are exact
+rationals; the Milnor number is the alternating factorial-weighted sum
+over the coordinate-subspace volumes.  Before it is formed, the compact
+simplices are checked to close up into a disk bounded by the coordinate
+hyperplanes.  When f = g(x_A) + h(x_B) in disjoint variables, mu(f) =
+mu(g) * mu(h) for any coefficients (Thom-Sebastiani), so each block is
+decided alone: Morse, infinite or by diagram.
 
 The result is conditional on the standard nondegeneracy of the input
 (face restrictions without critical torus zeros); this module exposes the
@@ -62,10 +67,12 @@ class VolumeVector(Record):
 class UnderDiagramRegion(Record):
     """Triangulated bounded region between the origin and the diagram.
 
-    Each simplex is the origin followed by the n points of a facet simplex.
+    Each simplex is the origin followed by the n points of a facet simplex;
+    cone_volumes[k] = |det| of the points of simplices[k], n! times the
+    volume of that cone.
     """
 
-    __match_args__ = ("n", "vertex_generators", "axis_intercepts", "simplices")
+    __match_args__ = ("n", "vertex_generators", "axis_intercepts", "simplices", "cone_volumes")
 
 
 def _axis_intercepts(gens: Sequence[Point], n: int) -> Optional[Tuple[int, ...]]:
@@ -78,7 +85,9 @@ def under_diagram_region(N: LatticePolytope) -> UnderDiagramRegion:
     """Bounded triangulated region below the Newton diagram.
 
     Raises UnboundedRegionError when some coordinate axis carries no pure
-    power, in which case the Milnor number is infinite.
+    power, in which case the Milnor number is infinite.  The cone volumes
+    are read off the hull: a stored facet's normal is its cofactor normal,
+    whose constant term is the determinant of the facet's points.
     """
     if not N.orthant_recession:
         raise ValueError("a Newton polyhedron (orthant recession) is required")
@@ -89,8 +98,18 @@ def under_diagram_region(N: LatticePolytope) -> UnderDiagramRegion:
                                    "some axis carries no pure power")
     facets = _hull(N.generators)
     origin = (0,) * n
-    simplices = tuple((origin,) + tuple(g[1:] for g in face) for face in facets)
-    return UnderDiagramRegion(n, _hull_vertices(facets, n), intercepts, simplices)
+    # lists first, as in polytope.lattice_points: tuple() of a generator
+    # leaves resized tuples in the interpreter's free lists
+    simplices = tuple([(origin,) + tuple([g[1:] for g in face]) for face in facets])
+    cone_volumes = tuple([abs(h[0]) for h in facets.values()])
+    return UnderDiagramRegion(n, _hull_vertices(facets, n), intercepts, simplices, cone_volumes)
+
+
+def _minor(points, axes) -> int:
+    """|det| of the points' coordinates on the axes; 1 x 1 is the coordinate."""
+    if len(points) == 1:
+        return points[0][axes[0]]
+    return abs(integer_determinant([[p[k] for k in axes] for p in points]))
 
 
 def volumes(region: UnderDiagramRegion) -> VolumeVector:
@@ -99,14 +118,19 @@ def volumes(region: UnderDiagramRegion) -> VolumeVector:
     A face of a diagram simplex with i vertices spanning exactly i axes I
     is a simplex of the triangulated diagram of N cap R^I; the cone from the
     origin over it has volume |det| / i!.  Each simplex is one for all n
-    axes; for i < n only subsets of its vertices with a zero coordinate
-    can be, so only those are walked, and a shared face counts once.
+    axes, whose |det| is its cone volume from the hull; for i < n only
+    subsets of its vertices with a zero coordinate can be, so only those
+    are walked, and a shared face counts once.  The points of a simplex S
+    are block-triangular on I and the other axes, so a face tau has |det
+    tau_I| = |det S| / |det U| with U the other points of S on the other
+    axes: each face takes the smaller of the two minors, and a face with
+    n - 1 points is one division by the apex's coordinate.
     """
     n = region.n
     totals = [0] * n
-    faces = set()
-    for simplex in region.simplices:
-        totals[n - 1] += abs(integer_determinant(simplex[1:]))
+    totals[n - 1] = sum(region.cone_volumes)
+    faces = {}
+    for simplex, cone in zip(region.simplices, region.cone_volumes):
         on_hyperplanes = sorted(p for p in simplex[1:] if 0 in p)
         masks = {p: sum(1 << k for k, c in enumerate(p) if c) for p in on_hyperplanes}
         for i in range(1, n):
@@ -115,10 +139,14 @@ def volumes(region: UnderDiagramRegion) -> VolumeVector:
                 for p in face:
                     axes |= masks[p]
                 if axes.bit_count() == i:
-                    faces.add(face)
-    for face in faces:
-        axes = [k for k in range(n) if any(p[k] for p in face)]
-        totals[len(face) - 1] += abs(integer_determinant([[p[k] for k in axes] for p in face]))
+                    faces.setdefault(face, (axes, simplex, cone))
+    for face, (axes, simplex, cone) in faces.items():
+        i = len(face)
+        if 2 * i <= n:
+            totals[i - 1] += _minor(face, [k for k in range(n) if axes >> k & 1])
+        else:
+            rest = [p for p in simplex[1:] if p not in face]
+            totals[i - 1] += cone // _minor(rest, [k for k in range(n) if not axes >> k & 1])
     return VolumeVector(tuple(Fraction(t, factorial(i)) for i, t in enumerate(totals, 1)))
 
 

@@ -4,17 +4,19 @@ A LatticePolytope is a generator point set, optionally Minkowski-summed
 with the nonnegative orthant (orthant_recession).  The vertices of a
 Newton polyhedron N = conv(S) + R^n_+, and the Newton diagrams of
 kouchnirenko, come from one exact integer hull, _hull: beneath-beyond
-with primitive integer facet normals, keyed by generator index, where
-each new facet's normal is one integer combination of the normals of the
-two facets at its horizon ridge.  It stores only the facets of N off the
-coordinate hyperplanes (all compact when every axis carries a pure power)
-and keeps the coordinate facets and the face at infinity implicit; its
-start is in closed form.  A Newton polytope's vertices take no hull: a
-support in 2D keeps its points by the pair rule below, and any other
-keeps the points that one membership LP each separates from the rest.
-Membership of a general point runs an exact rational LP and returns a
-checkable witness: a convex combination or a separating functional; a
-minimal sub-polytope takes one such LP and merges in closed form.
+with integer cofactor facet normals, keyed by generator index, where each
+new facet's normal is one integer combination of the normals of the two
+facets at its horizon ridge, divided exactly by one Pluecker factor (a
+facet's |det| is its cone volume in kouchnirenko).  It stores only the
+facets of N off the coordinate hyperplanes (all compact when every axis
+carries a pure power) and keeps the coordinate facets and the face at
+infinity implicit; its start is in closed form.  A Newton polytope's
+vertices take no hull: a support in 2D keeps its points by the pair rule
+below, and any other keeps the points that one membership LP each
+separates from the rest.  Membership of a general point runs an exact
+rational LP and returns a checkable witness: a convex combination or a
+separating functional; a minimal sub-polytope takes one such LP and
+merges in closed form.
 
 The quadratic simplex 2D = conv{2e_1, ..., 2e_n} lives in the hyperplane
 x_1 + ... + x_n = 2; its lattice points are exactly the pair points
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
@@ -233,14 +234,17 @@ def _hull(points):
     """Triangulated boundary of N = conv(points) + R^n_+, as the cone over
     (1, *s) for the points s and over the rays (0, *e_k), by beneath-beyond.
 
-    Maps each stored facet (a sorted n-tuple of generators) to its primitive
-    inner normal (-c, *w): <w, s> >= c on the hull.  A facet is visible from
-    a point beyond it or in its plane, and a point beyond no facet is
-    skipped, so the points left on the boundary are exactly the vertices.
-    Faces and ridges are keyed by labels, ranks in sorted order (rays
-    first).  A new facet through a horizon ridge and the point g is the
-    facet V there rotated onto g: its normal <h_K, g> h_V - <h_V, g> h_K
-    comes from V and the facet K across the ridge (Chand & Kapur 1970).
+    Maps each stored facet (a sorted n-tuple of generators) to its inner
+    cofactor normal (-c, *w), <w, s> >= c on the hull: its entries are the
+    facet's signed n x n minors, so c = |det(p_1..p_n)| on points p_i.  A
+    facet is visible from a point beyond it or in its plane, and a point
+    beyond no facet is skipped, so the points left on the boundary are
+    exactly the vertices.  Faces and ridges are keyed by labels, ranks in
+    sorted order (rays first).  A new facet through a horizon ridge and
+    the point g is the facet V there rotated onto g: <h_K, g> h_V - <h_V,
+    g> h_K from V and the facet K across the ridge (Chand & Kapur 1970),
+    divided by <h_K, v> > 0, v the generator of V off the ridge (three-term
+    Grassmann-Pluecker relation; exact for any positive multiple of h_K).
 
     The pure powers (sum(s) == max(s)) go first, and no facet with c = 0 is
     stored (w >= 0 puts it inside one coordinate hyperplane x_j = 0), nor
@@ -267,8 +271,7 @@ def _hull(points):
             raise RuntimeError(f"degenerate hull facet {tuple(gens[i] for i in face)}")
         if not h[0]:  # inside a coordinate hyperplane
             return
-        k = gcd(*h)
-        facets[face] = tuple(v // k for v in h)
+        facets[face] = h
         for ridge in combinations(face, n - 1):
             ridges.setdefault(ridge, []).append(face)
 
@@ -295,13 +298,19 @@ def _hull(points):
         new = []
         for face in visible:
             h_v, d_v = facets[face], dist[face]
-            for ridge in combinations(face, n - 1):
+            # combinations leaves out the labels of face from the last on
+            for ridge, apex in zip(combinations(face, n - 1), reversed(face)):
                 kept = [f for f in ridges[ridge] if f != face]
                 h_k = facets[kept[0]] if kept else beyond(ridge)
                 d_k = dist[kept[0]] if kept else sum(map(mul, h_k, g))
                 if d_k > 0:  # a horizon ridge
-                    new.append((tuple(sorted(ridge + (i,))),
-                                [d_k * a - d_v * b for a, b in zip(h_v, h_k)]))
+                    new_face = tuple(sorted(ridge + (i,)))
+                    scale = sum(map(mul, h_k, gens[apex]))  # > 0: the apex is off K
+                    h = [d_k * a - d_v * b for a, b in zip(h_v, h_k)]
+                    if any(v % scale for v in h):
+                        raise RuntimeError(f"hull facet {tuple(gens[j] for j in new_face)} "
+                                           "has no integer cofactor normal")
+                    new.append((new_face, tuple([v // scale for v in h])))
         for face in visible:
             del facets[face]
             for ridge in combinations(face, n - 1):

@@ -264,9 +264,12 @@ def test_volumes_match_all_subsets_oracle():
 
 
 def test_volumes_walk_only_faces_on_coordinate_hyperplanes(monkeypatch):
-    """One determinant per simplex plus one per distinct coordinate face of
-    dimension < n, and the walk visits only vertex subsets whose points all
-    have a zero coordinate, never the 2^n - 1 subsets of every simplex."""
+    """No determinant per simplex: its cone volume is the hull's |det|.  A
+    distinct coordinate face with i points takes one determinant of the
+    smaller of its i x i minor and the other points' (n - i) x (n - i)
+    one, none when that is 1 x 1; the walk visits only vertex subsets whose
+    points all have a zero coordinate, never the 2^n - 1 subsets of every
+    simplex."""
     from newtoncert import kouchnirenko
 
     counts = Counter()
@@ -286,6 +289,8 @@ def test_volumes_walk_only_faces_on_coordinate_hyperplanes(monkeypatch):
     for f in _diagrams():
         region = under_diagram_region(newton_polyhedron(f))
         n = region.n
+        assert region.cone_volumes == tuple(abs(integer_determinant(s[1:]))
+                                            for s in region.simplices), f
         low_faces = set()
         walk = 0
         for simplex in region.simplices:
@@ -296,8 +301,9 @@ def test_volumes_walk_only_faces_on_coordinate_hyperplanes(monkeypatch):
                         low_faces.add(face)
             walk += sum(math.comb(sum(0 in p for p in points), i) for i in range(1, n))
         counts.clear()
-        volumes(region)
-        assert counts["determinants"] == len(region.simplices) + len(low_faces), f
+        assert volumes(region) == all_subsets_volumes(region), f
+        assert counts["determinants"] == sum(min(len(face), n - len(face)) > 1
+                                             for face in low_faces), f
         assert counts["subsets"] == walk, f
         pruned += walk < len(region.simplices) * (2 ** n - 1)
     assert pruned >= 60, pruned
@@ -509,8 +515,9 @@ def test_milnor_detects_a_dropped_simplex(capsys, monkeypatch):
         full = under_diagram_region(newton_polyhedron(f))
         for k in range(len(full.simplices)):
             simplices = full.simplices[:k] + full.simplices[k + 1:]
+            cones = full.cone_volumes[:k] + full.cone_volumes[k + 1:]
             dropped = UnderDiagramRegion(full.n, full.vertex_generators, full.axis_intercepts,
-                                         simplices)
+                                         simplices, cones)
             monkeypatch.setattr(kouchnirenko, "under_diagram_region", lambda N: dropped)
             with pytest.raises(RuntimeError, match="does not close up"):
                 milnor_number(f)

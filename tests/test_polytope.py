@@ -1,10 +1,10 @@
 """Newton polytopes/polyhedra, membership witnesses, FM cross-validation."""
 
 import itertools
-import math
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -122,11 +122,12 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def test_hull_normals_are_primitive_supporting_and_match_cofactors():
-    """Every stored normal of seeded orthant hulls, n = 1..6, has gcd 1,
-    vanishes on its face, is >= 0 on every generator and ray and > 0 on the
-    interior ray, and is the cofactor normal oriented by that ray and
-    divided by its gcd.  Only a support holding the origin stores no
+def test_hull_normals_are_supporting_cofactor_normals():
+    """Every stored normal of seeded orthant hulls, n = 1..6, vanishes on
+    its face, is >= 0 on every generator and ray and > 0 on the interior
+    ray, and is the cofactor normal oriented by that ray, not divided by
+    its gcd; so |h[0]| summed over the compact facets is n! times the
+    volume under them.  Only a support holding the origin stores no
     facet."""
     rng = random.Random(909)
     for n in range(1, 7):
@@ -139,19 +140,53 @@ def test_hull_normals_are_primitive_supporting_and_match_cofactors():
             facets = polytope._hull(pts)
             assert facets or (0,) * n in pts
             for face, h in facets.items():
-                assert math.gcd(*h) == 1
                 assert all(_dot(h, g) == 0 for g in face)
                 assert all(_dot(h, g) >= 0 for g in gens)
                 assert _dot(h, inner) > 0
                 c = cofactor_normal(face)
-                c = c if _dot(c, inner) > 0 else tuple(-v for v in c)
-                assert tuple(v // math.gcd(*c) for v in c) == h, face
+                assert h == (c if _dot(c, inner) > 0 else tuple(-v for v in c)), face
+            assert sum(abs(h[0]) for h in facets.values() if min(h[1:]) > 0) == \
+                _compact_volume(facets)
 
 
 def _compact_volume(facets):
     """n! times the volume under the compact facets (strictly positive w)."""
     return sum(abs(integer_determinant([g[1:] for g in face]))
                for face, h in facets.items() if min(h[1:]) > 0)
+
+
+def test_hull_dividing_by_the_wrong_apex_is_caught(monkeypatch):
+    """A mutant hull that divides each rotated normal by <h_K, g>, at the
+    new point, in place of <h_K, v>, at the apex of the visible facet off
+    the horizon ridge, is caught on every seeded convenient support, n =
+    2..5: it raises the remainder error, or the volumes of its region
+    disagree with the all-subsets oracle.  Both happen."""
+    import inspect
+
+    from newtoncert import kouchnirenko
+    from oracles import all_subsets_volumes
+
+    source = inspect.getsource(polytope._hull)
+    assert source.count("gens[apex]") == 1
+    namespace = dict(vars(polytope))
+    exec(source.replace("gens[apex]", "g"), namespace)
+    monkeypatch.setattr(kouchnirenko, "_hull", namespace["_hull"])
+    rng = random.Random(913)
+    caught = Counter()
+    for n in range(2, 6):
+        for _ in range(12):
+            support = {tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 14))}
+            support = {p for p in support if sum(p) >= 2}
+            support |= {tuple(rng.randint(2, 6) * (k == a) for k in range(n)) for a in range(n)}
+            try:
+                region = kouchnirenko.under_diagram_region(LatticePolytope(n, support, True))
+            except RuntimeError as exc:
+                assert "has no integer cofactor normal" in str(exc)
+                caught["remainder"] += 1
+                continue
+            assert kouchnirenko.volumes(region) != all_subsets_volumes(region), support
+            caught["volumes"] += 1
+    assert min(caught["remainder"], caught["volumes"]) > 0, caught
 
 
 def test_hull_is_invariant_under_point_order(monkeypatch):

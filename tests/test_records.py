@@ -70,9 +70,10 @@ CASES = [
     (VolumeVector, {"values": (Fraction(3), Fraction(5, 2))}, Feasible,
      "VolumeVector(values=(Fraction(3, 1), Fraction(5, 2)))"),
     (UnderDiagramRegion, {"n": 2, "vertex_generators": ((0, 3), (2, 0)), "axis_intercepts": (2, 3),
-                          "simplices": (((0, 0), (0, 3), (2, 0)),)}, OtherRegion,
+                          "simplices": (((0, 0), (0, 3), (2, 0)),), "cone_volumes": (6,)},
+     OtherRegion,
      "UnderDiagramRegion(n=2, vertex_generators=((0, 3), (2, 0)), axis_intercepts=(2, 3), "
-     "simplices=(((0, 0), (0, 3), (2, 0)),))"),
+     "simplices=(((0, 0), (0, 3), (2, 0)),), cone_volumes=(6,))"),
     (Stencil, {"n": 2, "bits": ((1, 1), (1, 0))}, Separation,
      "Stencil(n=2, bits=((1, 1), (1, 0)))"),
     (HalfSpace, {"coeffs": (2, 0), "rhs": 2}, Separation,
