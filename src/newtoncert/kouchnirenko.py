@@ -201,7 +201,11 @@ def milnor_number(f: SparsePolynomial):
 def _diagram_milnor(f: SparsePolynomial):
     """mu of a non-Morse f with a pure power on every axis, from its diagram:
     a ValueError if that gives 1 (mu >= 2 at a singular Hessian), and a
-    RuntimeError if the diagram's simplices do not close up."""
+    RuntimeError if the diagram's simplices do not close up.  In one
+    variable the diagram is the least exponent a and mu = 1! V_1 - 1 = a - 1,
+    read off without a hull."""
+    if f.n_vars == 1:
+        return min(f._terms)[0] - 1
     N = LatticePolytope(f.n_vars, f.support(), orthant_recession=True)
     region = under_diagram_region(N)
     n = f.n_vars

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from ._record import Record
@@ -381,14 +382,23 @@ def is_morse(f: SparsePolynomial) -> bool:
 
 
 def integer_determinant(rows: Iterable[Iterable]) -> Union[int, GaussianRational]:
-    """Exact determinant by Bareiss fraction-free elimination.
+    """Exact determinant by Bareiss fraction-free elimination, with lazy rows.
 
     Entries are ints or GaussianRationals, whose // is exact division (Q(i)
-    is a field).  Row i becomes (pv * row_i - f * row_k) // prev, an exact
-    quotient; a row whose pivot-column entry f is 0, common in sparse
-    matrices, skips the f products.  Entries left of the pivot column are
-    never read again and are not cleared.  Whatever the entries, a singular
-    matrix may give the int 0, and the empty matrix gives the int 1.
+    is a field).  Let P_k be the pivot of step k and P_-1 = 1.  A row last
+    updated at step s holds minors over P_s.  At step k, a row whose
+    pivot-column entry f is nonzero becomes (x * P_k - f * y) // P_s, where
+    y is the pivot row brought up to date as y * P_(k-1) // P_s; both
+    quotients are exact by Sylvester's identity.  A row with f = 0 is not
+    touched and keeps its s, so a sparse matrix pays only for the rows it
+    eliminates.  Columns are taken sparsest first (nonzero count in the
+    input, ties by index, the permutation's sign folded in; with two
+    columns or fewer the order saves nothing and is not counted), and a
+    pivot column with no nonzero among the remaining rows returns 0 at
+    once: a zero pattern with no perfect matching is mostly caught at an
+    early column.  Entries left of the pivot column are never read again
+    and are not cleared.  Whatever the entries, a singular matrix gives the
+    int 0 and the empty matrix gives the int 1.
     """
     m = [list(row) for row in rows]
     n = len(m)
@@ -397,6 +407,20 @@ def integer_determinant(rows: Iterable[Iterable]) -> Union[int, GaussianRational
     if n == 0:
         return 1  # the empty product
     sign = 1
+    if n > 2:
+        zero = m[0][0] * 0  # 0, or a GaussianRational zero that list.count matches
+        counts = [n - col.count(zero) for col in zip(*m)]
+        if counts != sorted(counts):
+            order = sorted(range(n), key=counts.__getitem__)
+            take = itemgetter(*order)
+            m = [list(take(row)) for row in m]
+            for k in range(n):  # sort order back by swaps, one sign flip each
+                j = order[k]
+                while j != k:
+                    order[k], order[j] = order[j], j
+                    j = order[k]
+                    sign = -sign
+    den = [1] * n  # den[i] = P_s for the step s that last updated row i
     prev = 1
     for k in range(n - 1):
         for pivot in range(k, n):
@@ -406,20 +430,31 @@ def integer_determinant(rows: Iterable[Iterable]) -> Union[int, GaussianRational
             return 0
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
+            den[k], den[pivot] = den[pivot], den[k]
             sign = -sign
         mk = m[k]
-        pv = mk[k]
+        dk = den[k]
+        stale = dk != prev
+        pv = mk[k] * prev // dk if stale else mk[k]
         for i in range(k + 1, n):
             mi = m[i]
             f = mi[k]
             if f:
+                if stale:  # the pivot row's tail, once per step and only when read
+                    for j in range(k + 1, n):
+                        mk[j] = mk[j] * prev // dk
+                    stale = False
+                di = den[i]
                 for j in range(k + 1, n):
-                    mi[j] = (mi[j] * pv - f * mk[j]) // prev
-            else:
-                for j in range(k + 1, n):
-                    mi[j] = mi[j] * pv // prev
+                    mi[j] = (mi[j] * pv - f * mk[j]) // di
+                den[i] = pv
         prev = pv
-    return sign * m[n - 1][n - 1]
+    last = m[n - 1][n - 1]
+    if not last:
+        return 0
+    if den[n - 1] != prev:
+        last = last * prev // den[n - 1]
+    return last if sign > 0 else -last
 
 
 def determinant(form: QuadraticForm) -> GaussianRational:

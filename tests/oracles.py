@@ -19,7 +19,9 @@ constructions, kept here as references: no route of the package runs
 them.  The last is the second route that certify is checked against: it
 reads the permutation off the minimal sub-polytope's pair graph, not off
 a matching.  The all-subsets volumes never prune the face walk: they try
-every vertex subset of every diagram simplex as a coordinate face.
+every vertex subset of every diagram simplex as a coordinate face.  The
+dense Bareiss loop never skips a row: it rescales every row below every
+pivot and takes the columns in their given order.
 """
 
 from fractions import Fraction
@@ -67,6 +69,36 @@ def fm_vertices(points):
         if not others or not fm_contains(others, p):
             keep.append(p)
     return tuple(keep)
+
+
+def dense_bareiss(rows):
+    """Determinant by Bareiss elimination over every row and entry: row i
+    becomes (pv * row_i - f * row_k) // prev at every step, f = 0 or not.
+    Ints or GaussianRationals; the empty matrix gives 1."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        for pivot in range(k, n):
+            if m[pivot][k]:
+                break
+        else:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        mk = m[k]
+        pv = mk[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            f = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pv - f * mk[j]) // prev
+        prev = pv
+    return sign * m[n - 1][n - 1]
 
 
 def cofactor_normal(face):

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from newtoncert import cli, lp, morse, polytope
+from newtoncert import cli, kouchnirenko, lp, morse, polytope
 from newtoncert.gaussian import GaussianRational
 from newtoncert.kouchnirenko import (
     INFINITE,
@@ -366,6 +368,39 @@ def test_milnor_sum_of_cubes_splits():
     start = time.perf_counter()
     assert milnor_number(f) == 2 ** 20
     assert time.perf_counter() - start < 1.0
+
+
+def _milnor_corpus_inputs():
+    """(n, poly) of the benchmark's milnor-corpus workload, drawn by its own
+    generator in a child process (bench/ has its own oracles module)."""
+    code = ("import json, sys; sys.path[:0] = ['bench']; import workloads; "
+            "print(json.dumps([item[:2] for _, _, items in "
+            "workloads.MilnorCorpus().inputs(0) for item in items]))")
+    root = Path(__file__).parents[1]
+    out = subprocess.run([sys.executable, "-B", "-c", code], cwd=root, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_one_variable_block_is_its_least_exponent_minus_one(monkeypatch):
+    """A non-Morse block in one variable has mu = a - 1 for its least
+    exponent a, read off without a polytope: the same value as the volume
+    formula on every such block of the milnor-corpus inputs and the table."""
+    inputs = _milnor_corpus_inputs()
+    assert len(inputs) == 108
+    blocks = [g for n, text in inputs + [(r["n"], r["poly"]) for r in MILNOR_TABLE]
+              for g in kouchnirenko._blocks(parse_polynomial(text, n))
+              if g.n_vars == 1 and not is_morse(g)]
+    assert len(blocks) >= 40
+    expected = [volumes(under_diagram_region(newton_polyhedron(g))).dim_volume(1) - 1
+                for g in blocks]
+
+    def no_polytope(*args, **kwargs):
+        raise AssertionError("a one-variable block built a polytope")
+
+    monkeypatch.setattr(kouchnirenko, "LatticePolytope", no_polytope)
+    assert [kouchnirenko._diagram_milnor(g) for g in blocks] == expected
+    assert milnor_number(parse_polynomial("x1^5 + x1^9 + x2^4", 2)) == 12
 
 
 def test_milnor_morse_input_builds_no_diagram(monkeypatch):

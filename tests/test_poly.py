@@ -1,10 +1,13 @@
 """Parser, canonical printer, quadratic part, Hessian and determinant tests."""
 
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from oracles import dense_bareiss
 
 from newtoncert.gaussian import GR_ONE, GR_ZERO, GaussianRational
 from newtoncert.poly import (
@@ -18,6 +21,8 @@ from newtoncert.poly import (
     parse_polynomial,
     quadratic_part,
 )
+from newtoncert.polytope import LatticePolytope, pair_point
+from newtoncert.stencil import certify, sample_entries, stencil_of
 
 
 def gr(re, im=0):
@@ -325,9 +330,10 @@ def test_integer_determinant_matches_general_path():
         form = QuadraticForm(n, tuple(tuple(gr(v) for v in row) for row in rows))
         assert determinant(form) == gr(integer_determinant(rows))
         assert gr(integer_determinant(rows)) == _det_expansion(form.rows)
-    # sparse, non-symmetric: rows whose pivot-column entry is 0 skip the
-    # multiplier product, zero leading pivots force row swaps; each matrix
-    # runs again with Gaussian-rational entries on the same zero pattern
+    # sparse, non-symmetric: rows whose pivot-column entry is 0 are left
+    # stale, zero leading pivots force row swaps, zero columns end the loop
+    # early; each matrix runs again with Gaussian-rational entries on the
+    # same zero pattern
     swaps = zero_columns = nonzero = 0
     for _ in range(150):
         n = rng.randint(0, 7)
@@ -349,6 +355,152 @@ def test_integer_determinant_matches_general_path():
         swaps += n > 1 and det != 0 and rows[0][0] == 0
         zero_columns += n > 1 and not all(any(col) for col in zip(*rows))
     assert min(nonzero, swaps, zero_columns) >= 10
+
+
+def _closure_stencil_matrices(rng):
+    """(matrix, has a perfect matching) drawn as the --seed evidence draws
+    them: a support of pair points in 2Delta, either a permutation's cycles
+    or pairs confined by a Hall violation (rows R see only columns C,
+    |C| < |R|), plus random pairs; its stencil; seeded entries."""
+    for n in range(2, 13):
+        for verdict in ("matching", "cover") * 8:
+            idx = list(range(n))
+            rng.shuffle(idx)
+            density = rng.choice((0.15, 0.25, 0.6, 0.75))
+            if verdict == "matching":
+                pairs = {(min(a, b), max(a, b)) for a, b in zip(idx, idx[1:] + idx[:1])}
+                pool = list(itertools.combinations_with_replacement(range(n), 2))
+            else:
+                r = rng.randint(1, (n + 1) // 2)
+                R, C = set(idx[:r]), set(idx[r:2 * r - 1])
+                pool = [(i, j) for i, j in itertools.combinations_with_replacement(range(n), 2)
+                        if not {i, j} & R or (i in R and j in C) or (j in R and i in C)]
+                pairs = set()
+            pairs |= {p for p in pool if rng.random() < density}
+            if not pairs:
+                pairs.add(rng.choice(pool))
+            M = LatticePolytope(n, tuple(sorted(pair_point(n, i, j) for i, j in pairs)))
+            matrix = sample_entries(stencil_of(M), rng.randrange(2**31))
+            assert certify(M).kind == verdict
+            yield matrix, verdict == "matching"
+
+
+def _permuted(rng, rows):
+    """rows with their rows and their columns shuffled."""
+    n = len(rows)
+    p, q = rng.sample(range(n), n), rng.sample(range(n), n)
+    return [[rows[p[i]][q[j]] for j in range(n)] for i in range(n)]
+
+
+def _pattern_matrices(rng):
+    """Zero patterns that the sparse loop treats differently from a dense one."""
+    def draw():
+        return rng.choice([-1, 1]) * rng.randint(1, 10**6)
+
+    for n in range(1, 11):
+        # Hall violation: k columns nonzero in only k - 1 rows
+        k = rng.randint(1, n)
+        rows = [[draw() if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+        for i in range(k - 1, n):
+            for j in range(k):
+                rows[i][j] = 0
+        yield _permuted(rng, rows)
+        # block-diagonal and block-triangular
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+        block = [next(b for b, c in enumerate(cuts + [n]) if i < c) for i in range(n)]
+        for upper in (False, True):
+            yield _permuted(rng, [[draw() if block[i] == block[j]
+                                   or (upper and block[i] < block[j] and rng.random() < 0.5)
+                                   else 0 for j in range(n)] for i in range(n)])
+        # diagonal and tridiagonal, as given
+        yield [[draw() if i == j else 0 for j in range(n)] for i in range(n)]
+        yield [[draw() if abs(i - j) <= 1 else 0 for j in range(n)] for i in range(n)]
+        # two cyclic diagonals: every column holds two nonzeros, so the
+        # columns keep their order; step 0 updates row n - d, whose entries
+        # in columns 1..d-1 are 0, so that row stays stale until step d
+        for d in range(2, n):
+            yield [[draw() if j in (i, (i + d) % n) else 0 for j in range(n)] for i in range(n)]
+
+
+def _as_gaussian(rng, rows):
+    return [[gr(Fraction(v, rng.randint(1, 3)), rng.randint(-2, 2)) if v else GR_ZERO
+             for v in row] for row in rows]
+
+
+def test_integer_determinant_matches_dense_bareiss():
+    """The lazy sparse loop against the dense loop it replaced, and against
+    the permutation expansion up to n = 7, on int and Q(i) entries.  A
+    singular matrix gives the int 0 either way."""
+    rng = random.Random(2025)
+    verdicts = Counter()
+    for rows, matching in _closure_stencil_matrices(rng):
+        det = integer_determinant(rows)
+        assert det == dense_bareiss(rows)
+        assert (det != 0) == matching
+        if len(rows) <= 7:
+            assert det == _det_expansion(rows, 1)
+        verdicts[matching] += 1
+    assert verdicts == {True: 88, False: 88}
+    singular = 0
+    for rows in _pattern_matrices(rng):
+        det = integer_determinant(rows)
+        assert det == dense_bareiss(rows)
+        if len(rows) <= 7:
+            assert det == _det_expansion(rows, 1)
+        g = _as_gaussian(rng, rows)
+        gdet = integer_determinant(g)
+        assert GR_ZERO + gdet == GR_ZERO + dense_bareiss(g)
+        if len(rows) <= 7:
+            assert GR_ZERO + gdet == _det_expansion(g)
+        if not det:
+            assert type(det) is int and type(gdet) is int and gdet == 0
+            singular += 1
+    assert singular >= 10
+    assert integer_determinant([]) == 1
+
+
+def _entry_updates(rows):
+    """integer_determinant(rows) and the number of entries it wrote, counted
+    as the exact quotients // taken on its entries (one per entry written)."""
+    updates = [0]
+
+    class Counted(int):
+        def __mul__(self, other):
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __sub__(self, other):
+            return Counted(int(self) - int(other))
+
+        def __floordiv__(self, other):
+            updates[0] += 1
+            return Counted(int(self) // int(other))
+
+        def __neg__(self):
+            return Counted(-int(self))
+
+    det = integer_determinant([[Counted(v) for v in row] for row in rows])
+    return det, updates[0]
+
+
+def test_integer_determinant_work_is_sparse():
+    """Entry updates, with no clock: a dense elimination writes about n^3/3
+    entries on any of these."""
+    rng = random.Random(7)
+    n = 200
+    diagonal = [[rng.randint(1, 9) if i == j else 0 for j in range(n)] for i in range(n)]
+    det, updates = _entry_updates(diagonal)
+    assert det == math.prod(diagonal[i][i] for i in range(n))
+    assert updates < n  # each pivot scaled once, no row updated
+    tridiagonal = [[rng.randint(1, 9) if abs(i - j) <= 1 else 0 for j in range(n)]
+                   for i in range(n)]
+    det, updates = _entry_updates(tridiagonal)
+    assert det == dense_bareiss(tridiagonal)
+    assert updates <= 2 * n * n  # O(n) row updates of at most n entries each
+    m = 30
+    zero_column = [[rng.randint(1, 9) if j != 17 else 0 for j in range(m)] for _ in range(m)]
+    assert _entry_updates(zero_column) == (0, 0)
 
 
 def test_quadratic_form_validation():
