@@ -24,6 +24,16 @@ hyperplanes.  When f = g(x_A) + h(x_B) in disjoint variables, mu(f) =
 mu(g) * mu(h) for any coefficients (Thom-Sebastiani), so each block is
 decided alone: Morse, infinite or by diagram.
 
+A block's diagram is split once more before any hull.  With axis
+intercepts a_k, L = lcm(a) and w_k = L / a_k, every point on or above the
+intercept simplex <w, p> = L lies in conv{a_k e_k} + R^n_+, so only the
+intercepts and the points below it can be vertices, and they give the
+same N.  The variable sets of the points below, merged like the blocks,
+split N into diagrams in disjoint variables whose Newton numbers multiply
+(Kouchnirenko's mu = nu); a one-variable one is a_k - 1 (Milnor-Orlik for
+a Brieskorn-Pham or weighted-homogeneous block, whose points all lie on
+the simplex), and only a diagram in two or more variables takes a hull.
+
 The result is conditional on the standard nondegeneracy of the input
 (face restrictions without critical torus zeros); this module exposes the
 face restrictions but does not check that condition.  One case needs no
@@ -38,7 +48,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from ._record import Record
@@ -76,9 +87,17 @@ class UnderDiagramRegion(Record):
 
 
 def _axis_intercepts(gens: Sequence[Point], n: int) -> Optional[Tuple[int, ...]]:
-    """Pure-power exponent on every axis, or None if some axis has none."""
-    powers = [[g[k] for g in gens if sum(g) == g[k]] for k in range(n)]
-    return tuple(map(min, powers)) if all(powers) else None
+    """Least pure-power exponent on every axis, or None if some axis has none."""
+    least = [0] * n
+    for g in gens:
+        s = sum(g)
+        if s in g:  # s e_k, or the origin, a pure power on every axis
+            if not s:
+                return (0,) * n
+            k = g.index(s)
+            if not least[k] or s < least[k]:
+                least[k] = s
+    return tuple(least) if all(least) else None
 
 
 def under_diagram_region(N: LatticePolytope) -> UnderDiagramRegion:
@@ -150,13 +169,13 @@ def volumes(region: UnderDiagramRegion) -> VolumeVector:
     return VolumeVector(tuple(Fraction(t, factorial(i)) for i, t in enumerate(totals, 1)))
 
 
-def _blocks(f: SparsePolynomial):
-    """f as polynomials in disjoint sets of variables that sum to f: the
-    components of the graph joining two variables when a term holds both,
-    merged as bitmasks over all terms (not only the diagram's vertices)."""
-    n = f.n_vars
+def _variable_blocks(exponents, n: int):
+    """Bitmasks of the components of the graph on the n variables that
+    joins two variables when an exponent holds both, a variable in no
+    exponent being its own block; [all n] as soon as one block holds all."""
+    full = (1 << n) - 1
     blocks = []
-    for exp in f._terms:
+    for exp in exponents:
         block = 0
         for k, e in enumerate(exp):
             if e:
@@ -167,11 +186,20 @@ def _blocks(f: SparsePolynomial):
                 block |= other
             else:
                 rest.append(other)
-        if block == (1 << n) - 1:
-            return [f]
+        if block == full:
+            return [full]
         blocks = rest + [block]
     covered = sum(blocks)
-    blocks += [1 << k for k in range(n) if not covered >> k & 1]  # in no term
+    return blocks + [1 << k for k in range(n) if not covered >> k & 1]
+
+
+def _blocks(f: SparsePolynomial):
+    """f as polynomials in disjoint sets of variables that sum to f: the
+    _variable_blocks of all its terms (not only the diagram's vertices)."""
+    n = f.n_vars
+    blocks = _variable_blocks(f._terms, n)
+    if len(blocks) == 1:
+        return [f]
     variables = [[k for k in range(n) if block >> k & 1] for block in blocks]
     return [SparsePolynomial(len(ks), {tuple(e[k] for k in ks): c for e, c in f._terms.items()
                                        if any(e[k] for k in ks)}) for ks in variables]
@@ -187,28 +215,58 @@ def milnor_number(f: SparsePolynomial):
     block-diagonal and f is Morse exactly when every block is: a Morse
     block (poly.is_morse) gives 1 before any hull, as does the empty
     product.  A non-Morse block with no pure power on some axis makes mu
-    INFINITE before any diagram; _diagram_milnor takes the others.
+    INFINITE before any diagram; _diagram_milnor takes the others, with
+    the axis intercepts read here.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     _require_singular(f._terms)
     blocks = [g for g in _blocks(f) if not is_morse(g)]
-    if any(_axis_intercepts(g.support(), g.n_vars) is None for g in blocks):
+    intercepts = [_axis_intercepts(g._terms, g.n_vars) for g in blocks]
+    if None in intercepts:
         return INFINITE
-    return prod(map(_diagram_milnor, blocks))
+    return prod(map(_diagram_milnor, blocks, intercepts))
 
 
-def _diagram_milnor(f: SparsePolynomial):
-    """mu of a non-Morse f with a pure power on every axis, from its diagram:
-    a ValueError if that gives 1 (mu >= 2 at a singular Hessian), and a
-    RuntimeError if the diagram's simplices do not close up.  In one
-    variable the diagram is the least exponent a and mu = 1! V_1 - 1 = a - 1,
-    read off without a hull."""
-    if f.n_vars == 1:
-        return min(f._terms)[0] - 1
-    N = LatticePolytope(f.n_vars, f.support(), orthant_recession=True)
-    region = under_diagram_region(N)
+def _diagram_milnor(f: SparsePolynomial, intercepts):
+    """mu of a non-Morse f whose least pure power on axis k is a_k, from its
+    diagram: a ValueError if that gives 1 (mu >= 2 at a singular Hessian),
+    and a RuntimeError if a diagram's simplices do not close up.
+
+    With L = lcm(a) and w_k = L / a_k, a point p with <w, p> >= L lies in
+    conv{a_k e_k} + R^n_+, so it is no vertex, and the diagram is that of
+    the intercepts and the points below the simplex, <w, p> < L.  Their
+    _variable_blocks split the diagram into diagrams in disjoint variables,
+    whose Newton numbers multiply: a one-variable block gives a_k - 1 (its
+    diagram is the point a_k e_k), and any other block its volume formula
+    on its own points.
+    """
     n = f.n_vars
+    top = lcm(*intercepts)
+    weights = [top // a for a in intercepts]
+    below = [p for p in f._terms if sum(map(mul, weights, p)) < top]
+    mu = 1
+    for block in _variable_blocks(below, n):
+        axes = [k for k in range(n) if block >> k & 1]
+        m = len(axes)
+        if m == 1:
+            mu *= intercepts[axes[0]] - 1
+            continue
+        points = below if m == n else [
+            q for q in (tuple([p[k] for k in axes]) for p in below) if any(q)]
+        mu *= _newton_number(points + [tuple([intercepts[k] * (j == i) for j in range(m)])
+                                       for i, k in enumerate(axes)], m)
+    if mu == 1:
+        raise ValueError("the Newton diagram is degenerate: it gives mu = 1 at a "
+                         "singular Hessian, so mu >= 2")
+    return mu
+
+
+def _newton_number(points, n: int) -> int:
+    """Newton number of the convenient diagram of points in n >= 2
+    variables: the alternating volume sum, once its simplices are checked
+    to close up."""
+    region = under_diagram_region(LatticePolytope(n, points, orthant_recession=True))
     # the simplices tile a disk: each ridge off the coordinate hyperplanes bounds two
     ridges = Counter(r for s in region.simplices for r in combinations(sorted(s[1:]), n - 1))
     open_ridges = [r for r, count in ridges.items() if count != 2
@@ -219,9 +277,6 @@ def _diagram_milnor(f: SparsePolynomial):
     mu = (-1) ** n
     for i in range(1, n + 1):
         mu += (-1) ** (n - i) * factorial(i) * vols.dim_volume(i)
-    if mu == 1:
-        raise ValueError("the Newton diagram is degenerate: it gives mu = 1 at a "
-                         "singular Hessian, so mu >= 2")
     return int(mu)
 
 

@@ -21,16 +21,29 @@ reads the permutation off the minimal sub-polytope's pair graph, not off
 a matching.  The all-subsets volumes never prune the face walk: they try
 every vertex subset of every diagram simplex as a coordinate face.  The
 dense Bareiss loop never skips a row: it rescales every row below every
-pivot and takes the columns in their given order.
+pivot and takes the columns in their given order.  The unsplit Milnor
+number never drops a point: each block of variables gets one hull over
+all of its support points, where the package splits the diagram at the
+intercept simplex first.  The plane-curve Milnor number takes no diagram
+and nothing from newtoncert: it is the intersection multiplicity of the
+two partial derivatives at the origin, by Fulton's algorithm.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd, lcm
 
 from fm_oracle import fm_contains
-from newtoncert.kouchnirenko import VolumeVector
-from newtoncert.poly import integer_determinant
+from newtoncert.kouchnirenko import (
+    INFINITE,
+    UnboundedRegionError,
+    VolumeVector,
+    _blocks,
+    under_diagram_region,
+    volumes,
+)
+from newtoncert.poly import _require_singular, integer_determinant, is_morse
 from newtoncert.polytope import (
     ConvexCombination,
     LatticePolytope,
@@ -315,3 +328,92 @@ def all_subsets_volumes(region):
         det = integer_determinant([[p[k] for k in axes] for p in face])
         totals[len(axes) - 1] += abs(det)
     return VolumeVector(tuple(Fraction(t, factorial(i)) for i, t in enumerate(totals, 1)))
+
+
+def unsplit_milnor(f):
+    """milnor_number with one hull per non-Morse block over all its support
+    points: INFINITE when a block has no pure power on some axis (before
+    any volume), else the product of the blocks' alternating volume sums,
+    a RuntimeError when a block's simplices do not close up and a
+    ValueError when a block gives 1."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    _require_singular(f._terms)
+    regions = []
+    for g in _blocks(f):
+        if not is_morse(g):
+            try:
+                regions.append(under_diagram_region(
+                    LatticePolytope(g.n_vars, g.support(), orthant_recession=True)))
+            except UnboundedRegionError:
+                return INFINITE
+    mu = 1
+    for region in regions:
+        n = region.n
+        ridges = Counter(r for s in region.simplices for r in combinations(sorted(s[1:]), n - 1))
+        if any(count != 2 and not any(all(p[k] == 0 for p in r) for k in range(n))
+               for r, count in ridges.items()):
+            raise RuntimeError("the Newton diagram does not close up")
+        vols = volumes(region)
+        block_mu = (-1) ** n + sum((-1) ** (n - i) * factorial(i) * vols.dim_volume(i)
+                                   for i in range(1, n + 1))
+        if block_mu == 1:
+            raise ValueError("the Newton diagram is degenerate")
+        mu *= int(block_mu)
+    return mu
+
+
+def _primitive(poly):
+    """{(i, j): int} without zero terms, divided by the gcd of its coefficients."""
+    poly = {e: c for e, c in poly.items() if c}
+    content = gcd(*poly.values()) if poly else 1
+    return {e: c // content for e, c in poly.items()}
+
+
+def intersection_multiplicity(F, G):
+    """I_0(F, G) of plane curves {(i, j): int} (the coefficient of x^i y^j),
+    by Fulton's algorithm (Algebraic Curves, section 3.3); None when F and
+    G share a component through the origin.
+
+    0 if the origin is off a curve.  If y divides G, say G = y H, then
+    I(F, G) = ord_x F(x, 0) + I(F, H).  Otherwise, with r <= s the degrees
+    of F(x, 0) and G(x, 0) (swapping F and G if needed), G becomes
+    lc(F(x, 0)) G - lc(G(x, 0)) x^(s - r) F, which keeps I and lowers s;
+    G is divided by its content after every step, so its coefficients
+    stay small.
+    """
+    F, G = _primitive(F), _primitive(G)
+    total = 0
+    while True:
+        if not F or not G:
+            return None
+        if F.get((0, 0)) or G.get((0, 0)):
+            return total
+        fx = {i: c for (i, j), c in F.items() if not j}
+        gx = {i: c for (i, j), c in G.items() if not j}
+        if not fx and not gx:
+            return None  # y is a common component
+        if not fx:
+            F, G, fx, gx = G, F, gx, fx
+        if not gx:
+            total += min(fx)
+            G = {(i, j - 1): c for (i, j), c in G.items()}
+            continue
+        r, s = max(fx), max(gx)
+        if r > s:
+            F, G, fx, gx, r, s = G, F, gx, fx, s, r
+        G = {e: fx[r] * c for e, c in G.items()}
+        for (i, j), c in F.items():
+            G[i + s - r, j] = G.get((i + s - r, j), 0) - gx[s] * c
+        G = _primitive(G)
+
+
+def plane_milnor(f):
+    """mu of a plane curve {(i, j): int or Fraction} with a singular point
+    at the origin: I_0(f_x, f_y), None when the singularity is not
+    isolated.  Denominators are cleared first, which leaves mu as it is."""
+    scale = lcm(*(Fraction(c).denominator for c in f.values()))
+    f = {e: int(Fraction(c) * scale) for e, c in f.items()}
+    fx = {(i - 1, j): i * c for (i, j), c in f.items() if i}
+    fy = {(i, j - 1): j * c for (i, j), c in f.items() if j}
+    return intersection_multiplicity(fx, fy)

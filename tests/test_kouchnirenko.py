@@ -26,7 +26,7 @@ from newtoncert.kouchnirenko import (
 )
 from newtoncert.poly import SparsePolynomial, integer_determinant, is_morse, parse_polynomial
 from newtoncert.polytope import LatticePolytope, newton_polyhedron, reduce_to_vertices
-from oracles import all_subsets_volumes, lp_vertices
+from oracles import all_subsets_volumes, lp_vertices, plane_milnor, unsplit_milnor
 
 # (n, poly, mu) on 40 seeded convenient diagrams, n = 2..5, up to 20
 # vertices, each with interior points, lattice points on segments between
@@ -322,7 +322,7 @@ def test_milnor_multiplies_over_blocks(monkeypatch):
     diagram_calls = []
     diagram_milnor = kouchnirenko._diagram_milnor
     monkeypatch.setattr(kouchnirenko, "_diagram_milnor",
-                        lambda g: diagram_calls.append(g.n_vars) or diagram_milnor(g))
+                        lambda g, a: diagram_calls.append(g.n_vars) or diagram_milnor(g, a))
     f = parse_polynomial("x1^3 + x2^2*x3 + x3^3 + x2^4 + x4^3 + x5^4 + x6*x7", 7)
     assert milnor_number(f) == 48
     assert sorted(diagram_calls) == [1, 1, 1, 2]
@@ -399,7 +399,8 @@ def test_one_variable_block_is_its_least_exponent_minus_one(monkeypatch):
         raise AssertionError("a one-variable block built a polytope")
 
     monkeypatch.setattr(kouchnirenko, "LatticePolytope", no_polytope)
-    assert [kouchnirenko._diagram_milnor(g) for g in blocks] == expected
+    assert [kouchnirenko._diagram_milnor(g, kouchnirenko._axis_intercepts(g._terms, 1))
+            for g in blocks] == expected
     assert milnor_number(parse_polynomial("x1^5 + x1^9 + x2^4", 2)) == 12
 
 
@@ -473,14 +474,180 @@ def _weighted_facet(intercepts):
 
 def test_milnor_orlik_weighted_facet():
     # Milnor-Orlik: mu = prod(d / w_i - 1) for a weighted-homogeneous
-    # isolated singularity of weights w and degree d
+    # isolated singularity of weights w and degree d.  Every point but the
+    # intercepts lies on their simplex, and the unsplit hull agrees.
     cases = ((2, 3, 6), (3, 4, 6), (4, 4, 4), (3, 3, 4, 6), (2, 4, 4, 4),
-             (2, 3, 3, 4, 4), (3, 3, 3, 3, 3))
+             (2, 3, 3, 4, 4), (3, 3, 3, 3, 3), (2, 2, 3, 3, 4, 4))
     for intercepts in cases:
         d, w, f = _weighted_facet(intercepts)
         assert len(f.support()) > len(w)
         expected = math.prod(Fraction(d, wi) - 1 for wi in w)
-        assert milnor_number(f) == expected, intercepts
+        assert milnor_number(f) == unsplit_milnor(f) == expected, intercepts
+
+
+def _below_on_above(rng, n, parts):
+    """A convenient support with intercepts a_k e_k, lcm L and weights
+    w_k = L / a_k: points below the simplex <w, p> = L that join the axes
+    of each part (and no two parts), mixed points on it and points above
+    it, one of them on every axis.  No mixed point has degree 2, so the
+    Hessian is singular.  Returns the support and which kinds it holds."""
+    a = [rng.randint(4, 6 if n <= 4 else 5) for _ in range(n)]
+    top = math.lcm(*a)
+    w = [top // x for x in a]
+    support = {tuple(a[k] * (j == k) for j in range(n)) for k in range(n)}
+    for part in parts:
+        for k, l in zip(part, part[1:]):  # 2/a_k + 1/a_l < 1: below
+            support.add(tuple(2 * (j == k) + (j == l) for j in range(n)))
+        for _ in range(rng.randint(0, 2) if len(part) > 1 else 0):
+            p = [0] * n
+            for k in rng.sample(part, rng.randint(2, len(part))):
+                p[k] = rng.randint(1, a[k] - 1)
+            if sum(map(int.__mul__, w, p)) < top and sum(p) > 2:
+                support.add(tuple(p))
+    on = [tuple(c * (j == k) + (top - w[k] * c) // w[l] * (j == l) for j in range(n))
+          for k, l in itertools.permutations(range(n), 2) for c in range(1, a[k])
+          if (top - w[k] * c) % w[l] == 0]
+    support.update(rng.sample(on, min(len(on), rng.randint(0, 3))))
+    support.add(tuple(x // 2 + 1 for x in a))  # joins every axis, above
+    for _ in range(rng.randint(0, 3)):
+        support.add(tuple(rng.randint(0, x) + x // 2 + 1 for x in a))
+    mixed = [sum(map(int.__mul__, w, p)) for p in support if sum(c > 0 for c in p) > 1]
+    return support, {"on": top in mixed, "mixed above": max(mixed) > top}
+
+
+def _answer(milnor, f):
+    try:
+        return milnor(f)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def test_milnor_matches_the_unsplit_hull(monkeypatch):
+    """Seeded, n = 2..6: split at the intercept simplex or not, milnor_number
+    gives the unsplit hull's mu or its error type, on supports whose points
+    below the simplex join all the axes (one hull in n variables), some of
+    them (one hull per part of two or more) or none (no hull)."""
+    dims = []
+    build = kouchnirenko.under_diagram_region
+    monkeypatch.setattr(kouchnirenko, "under_diagram_region",
+                        lambda N: dims.append(N.n) or build(N))
+    rng = random.Random(2727)
+    seen = Counter()
+    for n in (2, 3, 4, 5, 6):
+        for case in range(12):
+            axes = list(range(n))
+            rng.shuffle(axes)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1))) if case % 3 else []
+            parts = [axes[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+            support, kinds = _below_on_above(rng, n, parts)
+            f = SparsePolynomial(n, {p: rng.randint(1, 9) for p in support})
+            dims.clear()
+            mu = _answer(milnor_number, f)
+            assert sorted(dims) == sorted(len(part) for part in parts if len(part) > 1), parts
+            assert mu == _answer(unsplit_milnor, f), (n, sorted(support))
+            shape = ("unsplit" if len(parts) == 1 else
+                     "no hull" if all(len(part) == 1 for part in parts) else "split")
+            seen[shape] += 1
+            seen["on"] += kinds["on"]
+            seen["mixed above"] += kinds["mixed above"]
+            seen["mu > 1"] += isinstance(mu, int) and mu > 1
+    assert min(seen["unsplit"], seen["split"], seen["no hull"], seen["on"]) >= 10, seen
+    assert seen["mixed above"] == seen["unsplit"] + seen["split"] + seen["no hull"], seen
+    assert seen["mu > 1"] == 60, seen
+
+
+def test_split_diagrams_take_no_hull_and_no_determinant(monkeypatch):
+    """A product term above the intercept simplex, or every other point on
+    it, leaves a diagram that splits into one-variable factors."""
+    def no_region(N):
+        raise AssertionError("under_diagram_region called")
+
+    def no_determinant(rows):
+        raise AssertionError("integer_determinant called")
+
+    monkeypatch.setattr(kouchnirenko, "under_diagram_region", no_region)
+    monkeypatch.setattr(kouchnirenko, "integer_determinant", no_determinant)
+    joined = " + ".join([f"x{k}^3" for k in range(1, 17)] + ["*".join(f"x{k}" for k in range(1, 17))])
+    assert milnor_number(parse_polynomial(joined, 16)) == 2 ** 16
+    d, w, f = _weighted_facet((3, 3, 4, 6))
+    assert len(f.support()) > 4
+    assert milnor_number(f) == math.prod(Fraction(d, wi) - 1 for wi in w) == 60
+
+
+def test_unsplit_diagram_takes_one_hull_below_the_simplex(monkeypatch):
+    """A golden n = 4 diagram whose points below the simplex join all four
+    axes: one region, built from the intercepts and the points below."""
+    regions = []
+    build = kouchnirenko.under_diagram_region
+    monkeypatch.setattr(kouchnirenko, "under_diagram_region",
+                        lambda N: regions.append(N.generators) or build(N))
+    checked = 0
+    for row in GOLDEN_POOL:
+        f = parse_polynomial(row["poly"], row["n"])
+        if row["n"] != 4 or is_morse(f):
+            continue
+        a = kouchnirenko._axis_intercepts(f.support(), 4)
+        top = math.lcm(*a)
+        w = [top // x for x in a]
+        intercepts = {tuple(a[k] * (j == k) for j in range(4)) for k in range(4)}
+        below = {p for p in f.support() if sum(map(int.__mul__, w, p)) < top}
+        if len(below) + 4 == len(f.support()):
+            continue
+        regions.clear()
+        assert milnor_number(f) == row["mu"]
+        assert len(regions) == 1 and set(regions[0]) <= below | intercepts, row["poly"]
+        checked += 1
+    assert checked >= 6, checked
+
+
+PLANE_NORMAL_FORMS = (
+    [(f"A{k}", {(k + 1, 0): 1, (0, 2): 1}, k) for k in range(1, 13)]
+    + [(f"D{k}", {(2, 1): 1, (0, k - 1): 1}, k) for k in range(4, 13)]
+    + [("E6", {(3, 0): 1, (0, 4): 1}, 6), ("E7", {(3, 0): 1, (1, 3): 1}, 7),
+       ("E8", {(3, 0): 1, (0, 5): 1}, 8), ("X9", {(4, 0): 1, (2, 2): 1, (0, 4): 1}, 9),
+       ("J10", {(3, 0): 1, (2, 2): 1, (0, 6): 1}, 10)])
+
+
+def test_plane_oracle_on_normal_forms():
+    """I_0(f_x, f_y) on A_k, D_k (k <= 12), E6-E8, X9 and J10; milnor agrees
+    where the diagram is convenient (D_k and E7 have no pure power of x)."""
+    for name, f, mu in PLANE_NORMAL_FORMS:
+        assert plane_milnor(f) == mu, name
+        convenient = any(not j for i, j in f) and any(not i for i, j in f)
+        assert milnor_number(SparsePolynomial(2, f)) == (mu if convenient else INFINITE), name
+    assert plane_milnor({(2, 0): 1, (1, 1): 2, (0, 2): 1}) is None  # (x + y)^2
+    assert plane_milnor({(3, 0): Fraction(1, 3), (0, 2): Fraction(-1, 2)}) == 2
+    # degenerate diagrams: nu <= mu (Kouchnirenko), or the diagram is refused
+    squared = {(4, 0): 1, (2, 2): 2, (0, 4): 1, (5, 0): 1}  # (x^2 + y^2)^2 + x^5
+    assert plane_milnor(squared) == 11 and milnor_number(SparsePolynomial(2, squared)) == 9
+    a2 = {(2, 0): 1, (1, 1): -2, (0, 2): 1, (3, 0): 1}  # (x - y)^2 + x^3
+    assert plane_milnor(a2) == 2
+    with pytest.raises(ValueError, match="degenerate"):
+        milnor_number(SparsePolynomial(2, a2))
+
+
+def test_plane_oracle_matches_milnor_on_generic_curves():
+    """Seeded convenient plane curves with large random coefficients: every
+    mixed term on or above the segment between the intercepts (the diagram
+    splits into two one-variable factors) or some below it (one hull)."""
+    rng = random.Random(1313)
+    seen = Counter()
+    for case in range(80):
+        a, b = rng.randint(4, 9), rng.randint(4, 9)
+        f = {(a, 0): rng.randint(1, 10 ** 4), (0, b): rng.randint(1, 10 ** 4)}
+        split = case % 2 == 0
+        if not split:
+            f[2, 1] = rng.randint(1, 10 ** 4)  # below: 2/a + 1/b < 1
+        for _ in range(rng.randint(1, 5)):
+            i, j = rng.randint(1, a), rng.randint(1, b)
+            if i + j > 2 and (i * b + j * a >= a * b) == split:
+                f[i, j] = rng.choice((-1, 1)) * rng.randint(1, 10 ** 4)
+        mu = plane_milnor(f)
+        assert milnor_number(SparsePolynomial(2, f)) == mu, f
+        seen[split] += 1
+        seen["split", split] += mu == (a - 1) * (b - 1)
+    assert seen["split", True] == seen[True] == 40, seen
+    assert seen["split", False] < 40, seen
 
 
 def _convenient_support(rng, n):
