@@ -38,8 +38,9 @@ The result is conditional on the standard nondegeneracy of the input
 (face restrictions without critical torus zeros); this module exposes the
 face restrictions but does not check that condition.  One case needs no
 diagram: a block has mu = 1 exactly when its Hessian at the origin is
-nonsingular (the Morse lemma), so that answer is poly.is_morse, the same
-exact determinant test that the morse module uses, and a diagram that
+nonsingular (the Morse lemma), so that answer is poly._is_morse, the
+exact determinant test that the morse module runs as poly.is_morse after
+the scan for constant and linear terms, and a diagram that
 gives 1 at a singular Hessian is rejected as degenerate.
 """
 
@@ -54,7 +55,7 @@ from typing import Optional, Sequence, Tuple
 
 from ._record import Record
 from .gaussian import exact_fraction
-from .poly import SparsePolynomial, _require_singular, integer_determinant, is_morse
+from .poly import SparsePolynomial, _is_morse, _require_singular, integer_determinant
 from .polytope import LatticePolytope, Point, _hull, _hull_vertices
 
 INFINITE = float("inf")
@@ -172,7 +173,8 @@ def volumes(region: UnderDiagramRegion) -> VolumeVector:
 def _variable_blocks(exponents, n: int):
     """Bitmasks of the components of the graph on the n variables that
     joins two variables when an exponent holds both, a variable in no
-    exponent being its own block; [all n] as soon as one block holds all."""
+    exponent being its own block (the zero exponent holds none); [all n]
+    as soon as one block holds all."""
     full = (1 << n) - 1
     blocks = []
     for exp in exponents:
@@ -180,6 +182,8 @@ def _variable_blocks(exponents, n: int):
         for k, e in enumerate(exp):
             if e:
                 block |= 1 << k
+        if not block:
+            continue
         rest = []
         for other in blocks:
             if other & block:
@@ -195,14 +199,23 @@ def _variable_blocks(exponents, n: int):
 
 def _blocks(f: SparsePolynomial):
     """f as polynomials in disjoint sets of variables that sum to f: the
-    _variable_blocks of all its terms (not only the diagram's vertices)."""
+    _variable_blocks of all its terms (not only the diagram's vertices).
+    One pass sends each term to the block of its first nonzero variable; a
+    constant term belongs to no block."""
     n = f.n_vars
     blocks = _variable_blocks(f._terms, n)
     if len(blocks) == 1:
         return [f]
     variables = [[k for k in range(n) if block >> k & 1] for block in blocks]
-    return [SparsePolynomial(len(ks), {tuple(e[k] for k in ks): c for e, c in f._terms.items()
-                                       if any(e[k] for k in ks)}) for ks in variables]
+    owner = {k: b for b, ks in enumerate(variables) for k in ks}
+    terms = [[] for _ in blocks]
+    for e, c in f._terms.items():
+        for k, ek in enumerate(e):
+            if ek:
+                b = owner[k]
+                terms[b].append((tuple([e[j] for j in variables[b]]), c))
+                break
+    return [SparsePolynomial._valid(len(ks), ts) for ks, ts in zip(variables, terms)]
 
 
 def milnor_number(f: SparsePolynomial):
@@ -213,15 +226,16 @@ def milnor_number(f: SparsePolynomial):
     verified here.  mu is the product over the blocks of variables
     (_blocks).  Every term lies in one block, so the Hessian at 0 is
     block-diagonal and f is Morse exactly when every block is: a Morse
-    block (poly.is_morse) gives 1 before any hull, as does the empty
-    product.  A non-Morse block with no pure power on some axis makes mu
-    INFINITE before any diagram; _diagram_milnor takes the others, with
-    the axis intercepts read here.
+    block gives 1 before any hull, as does the empty product.  f is
+    scanned once for constant and linear terms, so the blocks take
+    poly._is_morse, which does not scan them again.  A non-Morse block
+    with no pure power on some axis makes mu INFINITE before any diagram;
+    _diagram_milnor takes the others, with the axis intercepts read here.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     _require_singular(f._terms)
-    blocks = [g for g in _blocks(f) if not is_morse(g)]
+    blocks = [g for g in _blocks(f) if not _is_morse(g)]
     intercepts = [_axis_intercepts(g._terms, g.n_vars) for g in blocks]
     if None in intercepts:
         return INFINITE

@@ -15,11 +15,20 @@ in the text grammar:
 
 The parser additionally accepts a leading sign on the first term and a
 signed real part inside parenthesised complex coefficients, so that every
-canonical rendering parses back to the same polynomial.
+canonical rendering parses back to the same polynomial.  Whitespace may
+separate any two tokens but cannot split an INT.
+
+The grammar is regular, so parse_polynomial reads a whole signed term per
+match of one pattern, _TERM.  Text that it does not read to the end, or
+that names a variable outside x1..xn or divides by zero, goes to the
+tokenizer and the recursive-descent _Parser, which name the first error
+and its position.  Each whitespace run in _TERM has one way to match, so a
+failed match backtracks in time linear in the text.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -49,22 +58,36 @@ class SparsePolynomial(Record):
     """Immutable sparse polynomial; zero coefficients are never stored.
 
     terms maps exponents to coefficients or lists (exponent, coefficient)
-    pairs; like terms are combined here and nowhere else."""
+    pairs.  The constructor checks them; _valid takes pairs already known
+    to be valid.  Both combine like terms in _combine and nowhere else."""
 
     __match_args__ = ("n_vars", "_terms")
 
     def __init__(self, n_vars: int, terms: Union[Mapping, Iterable[Tuple]] = ()):
         if n_vars < 1:
             raise ValueError("n_vars must be positive")
-        clean: Dict[Exponent, GaussianRational] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exp, coeff in items:
+        checked = []
+        for exp, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             exp = tuple(exp)
             if len(exp) != n_vars:
                 raise ValueError(f"exponent {exp} has wrong length for n_vars={n_vars}")
             if any(not isinstance(e, int) or e < 0 for e in exp):
                 raise ValueError(f"exponent {exp} must consist of nonnegative integers")
-            c = _coerce_coeff(coeff)
+            checked.append((exp, _coerce_coeff(coeff)))
+        self._combine(n_vars, checked)
+
+    @classmethod
+    def _valid(cls, n_vars: int, items: Iterable[Tuple[Exponent, GaussianRational]]):
+        """The polynomial of (exponent tuple, GaussianRational) pairs that
+        are known to be valid, built without checking them."""
+        f = object.__new__(cls)
+        f._combine(n_vars, items)
+        return f
+
+    def _combine(self, n_vars: int, items):
+        """Set the fields: like terms summed, zero coefficients dropped."""
+        clean: Dict[Exponent, GaussianRational] = {}
+        for exp, c in items:
             if exp in clean:
                 c = clean[exp] + c
             if c:
@@ -94,10 +117,10 @@ class SparsePolynomial(Record):
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if self.n_vars != other.n_vars:
             raise ValueError("variable count mismatch")
-        return SparsePolynomial(self.n_vars, [*self._terms.items(), *other._terms.items()])
+        return SparsePolynomial._valid(self.n_vars, [*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial(self.n_vars, {e: -c for e, c in self._terms.items()})
+        return SparsePolynomial._valid(self.n_vars, [(e, -c) for e, c in self._terms.items()])
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return self + (-other)
@@ -105,7 +128,7 @@ class SparsePolynomial(Record):
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if self.n_vars != other.n_vars:
             raise ValueError("variable count mismatch")
-        return SparsePolynomial(self.n_vars, [
+        return SparsePolynomial._valid(self.n_vars, [
             (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
             for ea, ca in self._terms.items() for eb, cb in other._terms.items()])
 
@@ -283,12 +306,69 @@ class _Parser:
         return GaussianRational(re, im)
 
 
+# One signed term: groups 1 sign, 2-3 real coefficient, 4-9 complex
+# coefficient (sign of the real part, real part, sign and size of the
+# imaginary part), 10 the factors after a coefficient, 11 the factors of a
+# term without one.  \s and \d match exactly what str.isspace and
+# str.isdecimal (the tokenizer's tests) accept.  An optional sign takes its
+# trailing whitespace inside its group, so no two \s* ever meet.
+_Q = r"(\d+)(?:\s*/\s*(\d+))?"
+_XS = r"x\s*\d+(?:\s*\^\s*\d+)?(?:\s*\*\s*x\s*\d+(?:\s*\^\s*\d+)?)*"
+_TERM = (rf"\s*(?:([-+])\s*)?(?:(?:{_Q}|\(\s*(?:(-)\s*)?{_Q}\s*(?:([-+])\s*{_Q}\s*i\s*)?\))"
+         rf"(?:\s*\*\s*({_XS}))?|({_XS}))\s*")
+_FACTOR = r"x\s*(\d+)(?:\s*\^\s*(\d+))?"
+
+
+def _fraction(num: str, den) -> Fraction:
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
+def _match_terms(text: str, n_vars: int):
+    """The (exponent, signed coefficient) pair of each term, one _TERM match
+    per term, or None when the text is not read to the end, a variable
+    index is outside 1..n_vars or a denominator is zero."""
+    match = re.compile(_TERM).match  # compiled on the first parse, then re's cache
+    factors = re.compile(_FACTOR).findall
+    terms = []
+    pos = 0
+    while pos < len(text) or not terms:
+        m = match(text, pos)
+        if m is None or pos and not m[1]:
+            return None
+        sign, num, den, neg, re_num, re_den, im_sign, im_num, im_den, xs, bare = m.groups()
+        pos = m.end()
+        exps = [0] * n_vars
+        for index, power in factors(xs or bare or ""):
+            k = int(index)
+            if not 0 < k <= n_vars:
+                return None
+            exps[k - 1] += int(power or 1)
+        try:
+            if num:
+                coeff = GaussianRational(_fraction(num, den))
+            elif re_num:
+                real = _fraction(re_num, re_den)
+                imag = _fraction(im_num, im_den) if im_num else Fraction(0)
+                coeff = GaussianRational(-real if neg else real, -imag if im_sign == "-" else imag)
+            else:
+                coeff = GR_ONE
+        except ZeroDivisionError:
+            return None
+        terms.append((tuple(exps), -coeff if sign == "-" else coeff))
+    return terms
+
+
 def parse_polynomial(text: str, n_vars: int) -> SparsePolynomial:
-    """Parse polynomial text in variables x1..xn; combines like terms."""
+    """Parse polynomial text in variables x1..xn; combines like terms.
+
+    _match_terms reads valid text; _Parser reads the rest, to raise its
+    positioned ParseError."""
     if n_vars < 1:
         raise ValueError("n_vars must be positive")
-    parser = _Parser(_tokenize(text), n_vars)
-    return SparsePolynomial(n_vars, parser.parse())
+    terms = _match_terms(text, n_vars)
+    if terms is None:
+        terms = _Parser(_tokenize(text), n_vars).parse()
+    return SparsePolynomial._valid(n_vars, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +458,11 @@ def is_morse(f: SparsePolynomial) -> bool:
     the Hessian is then zero.  Raises ValueError on a constant or linear term.
     """
     _require_singular(f._terms)
+    return _is_morse(f)
+
+
+def _is_morse(f: SparsePolynomial) -> bool:
+    """is_morse for an f already known to have no constant or linear term."""
     return any(sum(exp) == 2 for exp in f._terms) and bool(determinant(hessian_at_zero(f)))
 
 

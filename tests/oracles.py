@@ -26,7 +26,10 @@ number never drops a point: each block of variables gets one hull over
 all of its support points, where the package splits the diagram at the
 intercept simplex first.  The plane-curve Milnor number takes no diagram
 and nothing from newtoncert: it is the intersection multiplicity of the
-two partial derivatives at the origin, by Fulton's algorithm.
+two partial derivatives at the origin, by Fulton's algorithm.  The
+filtering blocks scan every term once per block of variables and build
+each block through the checking SparsePolynomial constructor, where the
+package routes each term to its block in one pass.
 """
 
 from collections import Counter
@@ -39,11 +42,11 @@ from newtoncert.kouchnirenko import (
     INFINITE,
     UnboundedRegionError,
     VolumeVector,
-    _blocks,
+    _variable_blocks,
     under_diagram_region,
     volumes,
 )
-from newtoncert.poly import _require_singular, integer_determinant, is_morse
+from newtoncert.poly import SparsePolynomial, _require_singular, integer_determinant, is_morse
 from newtoncert.polytope import (
     ConvexCombination,
     LatticePolytope,
@@ -330,6 +333,18 @@ def all_subsets_volumes(region):
     return VolumeVector(tuple(Fraction(t, factorial(i)) for i, t in enumerate(totals, 1)))
 
 
+def filtering_blocks(f):
+    """kouchnirenko._blocks with one filter over all terms per block: the
+    terms holding a variable of the block, projected onto its variables."""
+    n = f.n_vars
+    blocks = _variable_blocks(f._terms, n)
+    if len(blocks) == 1:
+        return [f]
+    variables = [[k for k in range(n) if block >> k & 1] for block in blocks]
+    return [SparsePolynomial(len(ks), {tuple(e[k] for k in ks): c for e, c in f._terms.items()
+                                       if any(e[k] for k in ks)}) for ks in variables]
+
+
 def unsplit_milnor(f):
     """milnor_number with one hull per non-Morse block over all its support
     points: INFINITE when a block has no pure power on some axis (before
@@ -340,7 +355,7 @@ def unsplit_milnor(f):
         raise ValueError("zero polynomial")
     _require_singular(f._terms)
     regions = []
-    for g in _blocks(f):
+    for g in filtering_blocks(f):
         if not is_morse(g):
             try:
                 regions.append(under_diagram_region(

@@ -26,7 +26,13 @@ from newtoncert.kouchnirenko import (
 )
 from newtoncert.poly import SparsePolynomial, integer_determinant, is_morse, parse_polynomial
 from newtoncert.polytope import LatticePolytope, newton_polyhedron, reduce_to_vertices
-from oracles import all_subsets_volumes, lp_vertices, plane_milnor, unsplit_milnor
+from oracles import (
+    all_subsets_volumes,
+    filtering_blocks,
+    lp_vertices,
+    plane_milnor,
+    unsplit_milnor,
+)
 
 # (n, poly, mu) on 40 seeded convenient diagrams, n = 2..5, up to 20
 # vertices, each with interior points, lattice points on segments between
@@ -116,8 +122,9 @@ def test_milnor_morse_from_the_hessian():
 
 
 def test_no_degree_2_term_builds_no_hessian(monkeypatch):
-    """milnor_number and morse share poly.is_morse, which answers False
-    without a Hessian when f has no degree-2 term."""
+    """milnor_number and morse share poly's Morse test (is_morse runs
+    _is_morse after its degree scan), which answers False without a
+    Hessian when f has no degree-2 term."""
     def no_hessian(f):
         raise AssertionError("hessian_at_zero called")
 
@@ -458,6 +465,54 @@ def test_morse_exactly_when_every_block_is():
         seen["absent"] += any(not any(e[k] for e in f._terms) for k in range(n))
     assert min(seen[True, True], seen[False, True], seen[True, False]) >= 20, seen
     assert seen["absent"] >= 20, seen
+
+
+def test_blocks_match_the_filtering_reference():
+    """Seeded, n = 1..6: the one-pass _blocks gives the blocks of the
+    filtering reference, each equal to the block the checking constructor
+    builds, with complex coefficients, variables in no term and a constant
+    term, which belongs to no block."""
+    rng = random.Random(2811)
+    coefficients = (1, -2, Fraction(1, 3), GaussianRational(1, 2), GaussianRational(0, -1))
+    seen = Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        terms = {tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)): rng.choice(coefficients)
+                 for _ in range(rng.randint(1, 7))}
+        f = SparsePolynomial(n, terms)
+        blocks = kouchnirenko._blocks(f)
+        assert blocks == filtering_blocks(f), f.render()
+        assert all(g == SparsePolynomial(g.n_vars, g.terms) for g in blocks)
+        split = len(blocks) > 1
+        seen["split"] += split
+        seen["constant"] += split and (0,) * n in f._terms
+        seen["absent"] += split and any(not any(e[k] for e in f._terms) for k in range(n))
+        seen["complex"] += split and any(not c.is_real for c in f._terms.values())
+        seen[f"n={n}"] += 1
+    assert len(seen) == 10 and min(seen.values()) >= 20, seen
+
+
+def test_milnor_scans_degrees_once(monkeypatch):
+    """milnor_number rejects constant and linear terms in one scan of f, and
+    its blocks take poly._is_morse, which does not scan them again; the
+    public is_morse still scans and raises."""
+    from newtoncert import poly
+
+    scans = []
+    scan = poly._require_singular
+    counted = lambda exps: scans.append(1) or scan(exps)  # noqa: E731
+    monkeypatch.setattr(poly, "_require_singular", counted)
+    monkeypatch.setattr(kouchnirenko, "_require_singular", counted)
+    f = parse_polynomial("x1^2 + x2^3 + x3^4 + x4*x5 + x5^3", 5)
+    assert len(kouchnirenko._blocks(f)) == 4
+    assert milnor_number(f) == 1 * 2 * 3 * 1
+    assert len(scans) == 1
+    for text in ("x1^2 + x2^3 + 1", "x1^2 + x2^3 + x2"):
+        g = parse_polynomial(text, 2)
+        with pytest.raises(ValueError, match="constant|linear"):
+            is_morse(g)
+        with pytest.raises(ValueError, match="constant|linear"):
+            milnor_number(g)
 
 
 def _weighted_facet(intercepts):

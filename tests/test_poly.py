@@ -1,14 +1,19 @@
 """Parser, canonical printer, quadratic part, Hessian and determinant tests."""
 
 import itertools
+import json
 import math
 import random
+import re
+import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from oracles import dense_bareiss
 
+from newtoncert import poly
 from newtoncert.gaussian import GR_ONE, GR_ZERO, GaussianRational
 from newtoncert.poly import (
     ParseError,
@@ -128,6 +133,162 @@ def test_render_examples():
     assert q.render() == "-x2^2 + (0+1i)*x1"
 
 
+# -- one pattern match per term, _Parser as the reference --------------------
+
+
+def _reference(text, n):
+    """The recursive-descent parser's terms, or the ParseError it raises."""
+    try:
+        return poly._Parser(poly._tokenize(text), n).parse()
+    except ParseError as exc:
+        return exc
+
+
+def test_term_pattern_classes_are_the_tokenizers():
+    """\\s and \\d in _TERM accept exactly what the tokenizer skips as space
+    and reads as digits, over all of Unicode."""
+    chars = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+    assert re.findall(r"\d", chars) == [c for c in chars if c.isdecimal()]
+
+
+SPACES = " " * 100_000
+# "_" stands for SPACES; a text with "@" must fail at the "@"
+LONG_RUNS = [
+    "_x1^2 + x2^2", "(_1+2i)*x1", "(-_1_+_2_i_)*x1", "1_/_2*x1", "(1/2_-_1_/_3i)*x1",
+    "x1_+_x2", "x1_-_x2", "_-_x1 + x2", "3_*_x1", "x1_*_x2", "x1_^_2 + x2", "x_1", "x1^2_",
+    "_@", "x1_@", "x1 +_@", "(_@", "(-_@", "(1_@", "(1+_@", "(1+2_@", "(1+2i_@", "1_/_@",
+    "2_*_@", "x1_^_@", "x_@", "-_@", "x1_x2_@",
+]
+
+
+@pytest.mark.parametrize("template", LONG_RUNS)
+def test_parse_is_linear_in_whitespace(template):
+    """100,000 spaces at each place a token may be followed by whitespace:
+    the same answer as with one space, or the ParseError at the stray
+    character, each in well under a second (a pattern with two adjacent
+    \\s* would backtrack for minutes)."""
+    text = template.replace("_", SPACES)
+    start = time.perf_counter()
+    if "@" in template:
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text, 2)
+        assert exc.value.position == text.index("@")
+    else:
+        assert parse_polynomial(text, 2) == parse_polynomial(template.replace("_", " "), 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def _int_text(rng, lo, hi):
+    """An integer in lo..hi, and now and then one outside it."""
+    text = str(rng.randint(lo, hi) if rng.random() < 0.97 else rng.choice((0, hi + 1)))
+    roll = rng.random()
+    if roll < 0.05:
+        return "0" + text
+    if roll < 0.08:  # ARABIC-INDIC digits: decimal to int() and to \d
+        return "".join(chr(0x660 + int(d)) for d in text)
+    return text
+
+
+def _rational_tokens(rng):
+    num = [_int_text(rng, 0, 12)]
+    return num + ["/", _int_text(rng, 1, 9)] if rng.random() < 0.3 else num
+
+
+def _term_tokens(rng, n):
+    coef = []
+    if rng.random() < 0.6:
+        if rng.random() < 0.35:
+            coef = ["("] + ["-"] * (rng.random() < 0.3) + _rational_tokens(rng)
+            if rng.random() < 0.8:
+                coef += [rng.choice("+-")] + _rational_tokens(rng) + ["i"]
+            coef += [")"]
+        else:
+            coef = _rational_tokens(rng)
+    factors = []
+    for _ in range(rng.randint(0 if coef else 1, 3)):
+        factor = ["x", _int_text(rng, 1, n)]
+        if rng.random() < 0.5:
+            factor += ["^", _int_text(rng, 0, 5)]
+        factors.append(factor)
+    tokens = coef + ["*"] * bool(coef and factors)
+    for k, factor in enumerate(factors):
+        tokens += ["*"] * bool(k) + factor
+    return tokens
+
+
+def _near_valid_text(rng, n):
+    """A rendering of random terms with random whitespace between tokens,
+    then 0-2 random character edits."""
+    tokens = [rng.choice("+-")] * (rng.random() < 0.3) + _term_tokens(rng, n)
+    for _ in range(rng.randint(0, 3)):
+        tokens += [rng.choice("+-")] + _term_tokens(rng, n)
+    space = ("", "", "", " ", "  ", "\t", "\n", "\u00a0", "\u2003 ")
+    chars = list("".join(tok + rng.choice(space) for tok in tokens))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        k = rng.randrange(len(chars) + 1)
+        edit = rng.choice("x i+-*/^()0129@\u00b2\u0663\u00a0X.")
+        roll = rng.random()
+        if roll < 0.4 or k == len(chars):
+            chars.insert(k, edit)
+        elif roll < 0.7:
+            del chars[k]
+        else:
+            chars[k] = edit
+    return "".join(chars)
+
+
+def test_term_pattern_reads_what_the_parser_reads():
+    """Seeded: on 20,000 near-valid texts, _match_terms returns the parser's
+    terms exactly when _Parser accepts the text, and parse_polynomial raises
+    _Parser's ParseError, text and position, when it does not."""
+    rng = random.Random(2810)
+    seen = Counter()
+    for _ in range(20_000):
+        n = rng.randint(1, 4)
+        text = _near_valid_text(rng, n)
+        expected = _reference(text, n)
+        terms = poly._match_terms(text, n)
+        if isinstance(expected, ParseError):
+            assert terms is None, text
+            with pytest.raises(ParseError) as exc:
+                parse_polynomial(text, n)
+            assert (str(exc.value), exc.value.position) == (str(expected), expected.position)
+            seen["invalid"] += 1
+        else:
+            assert terms == expected, text
+            assert parse_polynomial(text, n) == SparsePolynomial(n, expected)
+            seen["valid"] += 1
+            seen["complex"] += "i" in text
+    assert min(seen.values()) >= 4_000, seen
+
+
+def test_valid_text_takes_no_tokenizer(monkeypatch):
+    """Every valid text of the pinned Milnor table, the golden CLI corpus and
+    500 renderings is read by _TERM matches alone."""
+    root = Path(__file__).resolve().parents[1]
+    texts = [(row["n"], row["poly"])
+             for row in json.loads((root / "tests" / "milnor_table.json").read_text())]
+    for entry in json.loads((root / "bench" / "golden" / "cli_pool.json").read_text())["requests"]:
+        argv = entry["argv"]
+        if "--poly" in argv and {"milnor", "morse", "newton", "face"} & set(argv):
+            text, n = argv[argv.index("--poly") + 1], int(argv[argv.index("--n") + 1])
+            if not isinstance(_reference(text, n), ParseError):
+                texts.append((n, text))
+    rng = random.Random(2812)
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        texts.append((n, _random_poly(rng, n, complex_coeffs=rng.random() < 0.5).render()))
+    expected = [SparsePolynomial(n, _reference(text, n)) for n, text in texts]
+
+    def no_tokenizer(text):
+        raise AssertionError(f"valid text sent to the tokenizer: {text!r}")
+
+    monkeypatch.setattr(poly, "_tokenize", no_tokenizer)
+    assert len(texts) > 580
+    assert [parse_polynomial(text, n) for n, text in texts] == expected
+
+
 # -- arithmetic helpers ------------------------------------------------------
 
 
@@ -147,7 +308,7 @@ def _merged(pairs):
 
 
 def test_like_terms_combined_once():
-    """The constructor combines like terms, for the parser, + and * alike."""
+    """_combine merges like terms, for the constructor, the parser, + and *."""
     e = (1, 0)
     assert SparsePolynomial(2, [(e, 1), (e, -1), (e, 2)]).terms == {e: gr(2)}
     x1, x2 = monomial(2, (1, 0)), monomial(2, (0, 1))
